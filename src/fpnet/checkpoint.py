@@ -94,8 +94,36 @@ def _spec_from_header(entry):
                      activation=entry["activation"], target=target, ridge=ridge)
 
 
+def _decode_network(header, buf, off):
+    """Network and end offset from a parsed header and the matrices at ``off``."""
+    layers = []
+    for i, entry in enumerate(header["layers"]):
+        spec = _spec_from_header(entry)
+        names = entry["matrices"]
+        if not isinstance(names, list):
+            raise CheckpointFormatError(f"layer {i}: matrices must be a list")
+        matrices = {}
+        for name in names:
+            if name not in _MATRIX_FIELDS:
+                raise CheckpointFormatError(f"unknown matrix field {name!r}")
+            if name in matrices:
+                raise CheckpointFormatError(f"layer {i}: {name} listed twice")
+            raw, off = _take(buf, off, 16, f"{name} shape")
+            rows, cols = struct.unpack("<QQ", raw)
+            raw, off = _take(buf, off, rows * cols * 8, f"{name} data")
+            matrices[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
+        if spec.kind != "global_avg_pool" and "w" not in matrices:
+            raise CheckpointFormatError(f"layer {i} ({spec.kind}) has no weights")
+        layers.append(TrainedLayer(spec, **matrices))
+    return Network(layers, label_dim=header["label_dim"],
+                   class_names=header["class_names"]), off
+
+
 def load_network(path):
-    """Read a checkpoint written by save_network."""
+    """Read a checkpoint written by save_network.
+
+    Any structural fault in the file raises CheckpointFormatError.
+    """
     with open(path, "rb") as fh:
         buf = fh.read()
     head, off = _take(buf, 0, 4, "magic")
@@ -109,25 +137,13 @@ def load_network(path):
     blob, off = _take(buf, off, header_len, "header")
     try:
         header = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise CheckpointFormatError(f"bad checkpoint header: {e}") from e
-
-    layers = []
-    for entry in header["layers"]:
-        try:
-            spec = _spec_from_header(entry)
-        except (KeyError, TypeError, ValueError) as e:
-            raise CheckpointFormatError(f"bad layer entry: {e}") from e
-        matrices = {}
-        for name in entry["matrices"]:
-            if name not in _MATRIX_FIELDS:
-                raise CheckpointFormatError(f"unknown matrix field {name!r}")
-            raw, off = _take(buf, off, 16, f"{name} shape")
-            rows, cols = struct.unpack("<QQ", raw)
-            raw, off = _take(buf, off, rows * cols * 8, f"{name} data")
-            matrices[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
-        layers.append(TrainedLayer(spec, **matrices))
+    try:
+        net, off = _decode_network(header, buf, off)
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise CheckpointFormatError(
+            f"bad checkpoint structure: {type(e).__name__}: {e}") from e
     if off != len(buf):
         raise CheckpointFormatError(f"trailing bytes after matrices at {off}")
-    return Network(layers, label_dim=header["label_dim"],
-                   class_names=header["class_names"])
+    return net

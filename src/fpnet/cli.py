@@ -287,10 +287,10 @@ def cmd_explain(args):
     out_dir = args.out if args.out is not None else "fp_run"
     os.makedirs(out_dir, exist_ok=True)
     imgs = read_idx_images(args.input)
-    x = imgs.astype(np.float64)[:, None, :, :] * PIXEL_SCALE
-    if not (0 <= args.sample < x.shape[0]):
+    if not (0 <= args.sample < imgs.shape[0]):
         raise ConfigError(f"--sample {args.sample} out of range")
-    x = x[args.sample:args.sample + 1]
+    x = (imgs[args.sample:args.sample + 1].astype(np.float64)[:, None, :, :]
+         * PIXEL_SCALE)
     k = args.layer
     if not (0 <= k < len(net.layers)):
         raise ConfigError(f"--layer {k} out of range")

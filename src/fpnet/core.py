@@ -181,7 +181,7 @@ def ridge_solve(ata, atz, lam, tau=1.0, penalty_diag=None):
     leave selected coordinates unpenalised (an intercept, say). When tau is
     left at 1 and any accumulator entry exceeds RESCALE_THRESHOLD, both
     sides are automatically downscaled by the largest entry; the solution
-    is unchanged by construction.
+    is unchanged by construction. The solution is C-contiguous.
     """
     ata = as_matrix(ata, "ata")
     atz = as_matrix(atz, "atz")
@@ -191,14 +191,18 @@ def ridge_solve(ata, atz, lam, tau=1.0, penalty_diag=None):
         if peak > RESCALE_THRESHOLD:
             tau = 1.0 / peak
     if penalty_diag is None:
-        penalty = np.eye(n)
+        penalty_diag = np.ones(n)
     else:
         penalty_diag = np.asarray(penalty_diag, dtype=np.float64)
         if penalty_diag.shape != (n,):
             raise ValueError("penalty_diag length must match ata")
-        penalty = np.diag(penalty_diag)
-    g = tau * ata + (tau * lam) * penalty
-    w = spd_solve(g, tau * atz)
+    # the penalty only touches the diagonal, so no n x n copy of it is held
+    # next to g and the C-ordered copy of w below
+    g = tau * ata
+    g[np.diag_indices(n)] += (tau * lam) * penalty_diag
+    # LAPACK returns Fortran order; C order matches a loaded checkpoint, so
+    # BLAS rounds products with fitted and reloaded weights alike
+    w = np.ascontiguousarray(spd_solve(g, tau * atz))
     accounting.add_macs("solve", accounting.cholesky_solve_macs(n, atz.shape[1]))
     accounting.note_matrices(ata, atz, g, w)
     return w

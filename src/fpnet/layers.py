@@ -14,6 +14,7 @@ columns ordered channel-major: all kernel offsets of channel 0, then
 channel 1, and so on.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,13 @@ from .linalg import SeededRng, as_matrix, ensure_finite, gaussian_matrix
 
 LAYER_KINDS = ("dense", "conv1d", "conv2d", "global_avg_pool", "output")
 ACTIVATIONS = ("relu", "sign", "tanh", "identity", "mod2", "square")
+
+# Working set that inference aims for: rows per batch are this divided by the
+# bytes per sample of the widest intermediate. On the 28x28 conv benchmark net
+# (about 60 images a batch) predict runs no slower than as one full batch; and
+# dense splits of 2000 rows of width 1000, which fixed 256-row batches slowed,
+# stay a single batch.
+INFERENCE_BUDGET_BYTES = 16 * 2**20
 
 
 def activate(kind, z):
@@ -463,13 +471,70 @@ def fit_network(specs, dataset, mode="closed_form", batch_size=256):
     return Network(trained, label_dim=y.shape[1], class_names=class_names)
 
 
-def network_forward(net, x, upto=None):
-    """Activations after the first ``upto`` layers (all layers if None)."""
+def inference_batch_rows(layers, sample_shape):
+    """Rows per batch that keep inference through ``layers`` within
+    INFERENCE_BUDGET_BYTES, at least 1.
+
+    A sample's footprint is that of the widest intermediate the layers build
+    from one sample shaped ``sample_shape``: the window matrix or output of a
+    conv layer, the activations of a dense or output layer. None when a
+    layer cannot be sized (no weights, or shapes that do not chain).
+    """
+    shape, widest = tuple(sample_shape), 0
+    for tl in layers:
+        kind, w = tl.spec.kind, tl.w
+        if kind == "global_avg_pool":
+            if len(shape) < 2:
+                return None
+            shape = shape[:1]
+            continue
+        if not isinstance(w, np.ndarray) or w.ndim != 2:
+            return None
+        if kind in ("conv1d", "conv2d"):
+            kernel = tl.spec.kernel
+            if (len(shape) != len(kernel) + 1
+                    or shape[0] * math.prod(kernel) != w.shape[0]
+                    or any(k > s for k, s in zip(kernel, shape[1:]))):
+                return None
+            spatial = conv_output_shape(shape[1:], kernel, tl.spec.stride)
+            positions = math.prod(spatial)
+            widest = max(widest, positions * w.shape[0],
+                         positions * w.shape[1])
+            shape = (w.shape[1], *spatial)
+        else:
+            # the output layer may append its intercept column itself
+            widths = ((w.shape[0], w.shape[0] - 1) if kind == "output"
+                      else (w.shape[0],))
+            if math.prod(shape) not in widths:
+                return None
+            widest = max(widest, w.shape[0], w.shape[1])
+            shape = (w.shape[1],)
+    if not widest:
+        return None
+    return max(1, INFERENCE_BUDGET_BYTES // (8 * widest))
+
+
+def _forward_all(layers, x):
     a = np.asarray(x, dtype=np.float64)
-    layers = net.layers if upto is None else net.layers[:upto]
     for tl in layers:
         a = forward(tl, a)
     return a
+
+
+def network_forward(net, x, upto=None):
+    """Activations after the first ``upto`` layers (all layers if None).
+
+    Inputs larger than one batch of ``inference_batch_rows`` rows run batch
+    by batch and the outputs are concatenated, so memory stays bounded by
+    the layers' working set rather than growing with the number of rows.
+    """
+    layers = net.layers if upto is None else net.layers[:upto]
+    x = np.asarray(x)
+    rows = inference_batch_rows(layers, x.shape[1:]) if x.ndim >= 2 else None
+    if rows is None or x.shape[0] <= rows:
+        return _forward_all(layers, x)
+    return np.concatenate([_forward_all(layers, x[start:start + rows])
+                           for start in range(0, x.shape[0], rows)])
 
 
 def predict(net, x):

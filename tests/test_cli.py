@@ -160,6 +160,16 @@ class TestEval:
         assert len(lines) == 2 and lines[1].startswith("test,120,")
         assert "accuracy=" in capsys.readouterr().out
 
+    def test_checkpoint_without_layers_is_data_error(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path / "cfg.json")
+        blob = json.dumps({"label_dim": 3, "class_names": ["0", "1", "2"],
+                           "layers": []}).encode("utf-8")
+        ckpt = tmp_path / "empty.fpk"
+        ckpt.write_bytes(b"FPCK" + struct.pack("<II", 1, len(blob)) + blob)
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "eval")]) == 3
+        assert "data error" in capsys.readouterr().err
+
 
 class TestExplain:
     def _train_conv(self, tmp_path):

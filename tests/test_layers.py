@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,10 +7,11 @@ from numpy.testing import assert_allclose
 import fpnet.layers as layers_mod
 from fpnet.core import RidgeConfig, TargetGenSpec, generate_targets
 from fpnet.data import Dataset, one_hot
-from fpnet.layers import (IterativeConfig, LayerSpec, Network, TrainedLayer,
-                          activate, extract_windows, fit_layer, fit_network,
-                          fit_output_layer, forward, make_batches,
-                          network_forward, potentials, predict)
+from fpnet.layers import (INFERENCE_BUDGET_BYTES, IterativeConfig, LayerSpec,
+                          Network, TrainedLayer, activate, extract_windows,
+                          fit_layer, fit_network, fit_output_layer, forward,
+                          inference_batch_rows, make_batches, network_forward,
+                          potentials, predict)
 from fpnet.linalg import SeededRng, gaussian_matrix
 from fpnet.metrics import accuracy
 
@@ -312,6 +315,129 @@ class TestSpecValidation:
     def test_conv2d_needs_two_kernel_dims(self):
         with pytest.raises(ValueError):
             LayerSpec("conv2d", out_channels=4, kernel=(3,))
+
+
+def _random_net(specs, shapes, seed=0):
+    """Network of ``specs`` with Gaussian weights of the given shapes."""
+    rng = SeededRng(seed)
+    layers = [TrainedLayer(s, w=None if sh is None else
+                           0.1 * rng.standard_normal(sh))
+              for s, sh in zip(specs, shapes)]
+    labels = shapes[-1][1]
+    return Network(layers, labels, [str(c) for c in range(labels)])
+
+
+def _conv_net(seed=0):
+    """conv2d(32, 5x5) -> conv2d(64, 3x3, stride 2) -> pool -> output on
+    1x28x28 images; the widest intermediate is layer 1's window matrix."""
+    specs = [LayerSpec("conv2d", 32, (5, 5), 1, "relu"),
+             LayerSpec("conv2d", 64, (3, 3), 2, "relu"),
+             LayerSpec("global_avg_pool"), LayerSpec("output")]
+    return _random_net(specs, [(25, 32), (288, 64), None, (65, 10)], seed)
+
+
+def _dense_net(seed=0):
+    specs = [LayerSpec("dense", 40, activation="relu"), LayerSpec("output")]
+    return _random_net(specs, [(30, 40), (41, 5)], seed)
+
+
+def _single_batch(net, x):
+    a = np.asarray(x, dtype=np.float64)
+    for tl in net.layers:
+        a = forward(tl, a)
+    return a
+
+
+def _count_forwards(monkeypatch):
+    calls = []
+
+    def counted(layer, x):
+        calls.append(len(x))
+        return forward(layer, x)
+
+    monkeypatch.setattr(layers_mod, "forward", counted)
+    return calls
+
+
+class TestBatchedInference:
+    def test_rows_sized_by_widest_intermediate(self):
+        conv = _conv_net().layers
+        # layer 1: 11x11 positions x (32 channels x 3x3 kernel) floats
+        assert inference_batch_rows(conv, (1, 28, 28)) == (
+            INFERENCE_BUDGET_BYTES // (8 * 11 * 11 * 32 * 9))
+        # dense: the widest is the output layer's input plus its intercept
+        assert inference_batch_rows(_dense_net().layers, (30,)) == (
+            INFERENCE_BUDGET_BYTES // (8 * 41))
+
+    def test_unsizable_layers_give_none(self):
+        conv = _conv_net().layers
+        assert inference_batch_rows(conv, (2, 28, 28)) is None  # channels
+        assert inference_batch_rows(conv, (1, 4, 4)) is None    # too small
+        assert inference_batch_rows(conv, (1, 784)) is None     # no spatial
+        assert inference_batch_rows(_dense_net().layers, (31,)) is None
+        unfitted = [TrainedLayer(LayerSpec("dense", 4))]
+        assert inference_batch_rows(unfitted, (30,)) is None
+
+    def test_batched_predict_matches_single_batch(self, monkeypatch):
+        net = _conv_net()
+        rows = inference_batch_rows(net.layers, (1, 28, 28))
+        x = SeededRng(7).standard_normal((2 * rows + rows // 2, 1, 28, 28))
+        ref = _single_batch(net, x)
+        calls = _count_forwards(monkeypatch)
+        scores, labels = predict(net, x)
+        assert calls[::len(net.layers)] == [rows, rows, rows // 2]
+        assert np.max(np.abs(scores - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(labels, np.argmax(ref, axis=1))
+
+    def test_input_within_budget_is_one_bit_identical_batch(self, monkeypatch):
+        net = _dense_net()
+        x = SeededRng(8).standard_normal((500, 30))
+        ref = _single_batch(net, x)
+        calls = _count_forwards(monkeypatch)
+        assert np.array_equal(predict(net, x)[0], ref)
+        assert calls == [500] * len(net.layers)
+
+    def test_batched_upto_and_uint8_input(self):
+        net = _conv_net()
+        rows = inference_batch_rows(net.layers[:1], (1, 28, 28))
+        x = np.random.default_rng(9).integers(
+            0, 256, size=(rows + 3, 1, 28, 28), dtype=np.uint8)
+        out = network_forward(net, x, upto=1)
+        ref = forward(net.layers[0], x.astype(np.float64))
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("case", ["width", "weights", "empty"])
+    def test_errors_same_as_single_batch(self, case):
+        # inputs past the batch size whose layers cannot be sized, or that
+        # hold no rows, fail in predict exactly as a single-batch forward does
+        net = _dense_net()
+        x = np.zeros((10**5, 30))
+        if case == "width":
+            x = np.zeros((10**5, 31))
+        elif case == "weights":
+            net.layers[0].w = None
+        else:
+            net, x = _conv_net(), np.zeros((0, 1, 28, 28))
+        with pytest.raises(ValueError) as single:
+            _single_batch(net, x)
+        with pytest.raises(ValueError) as batched:
+            predict(net, x)
+        assert str(batched.value) == str(single.value)
+
+    def test_predict_memory_independent_of_rows(self):
+        net = _conv_net()
+        rows = inference_batch_rows(net.layers, (1, 28, 28))
+        peaks = []
+        for n in (2 * rows, 8 * rows):
+            x = SeededRng(10).standard_normal((n, 1, 28, 28))
+            tracemalloc.start()
+            try:
+                predict(net, x)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) / peaks[0] < 0.05
 
 
 @pytest.mark.fmnist
