@@ -200,9 +200,9 @@ def ridge_solve(ata, atz, lam, tau=1.0, penalty_diag=None):
     # next to g and the C-ordered copy of w below
     g = tau * ata
     g[np.diag_indices(n)] += (tau * lam) * penalty_diag
-    # LAPACK returns Fortran order; C order matches a loaded checkpoint, so
-    # BLAS rounds products with fitted and reloaded weights alike
-    w = np.ascontiguousarray(spd_solve(g, tau * atz))
+    # spd_solve returns C order, as a loaded checkpoint has, so BLAS rounds
+    # products with fitted and reloaded weights alike
+    w = spd_solve(g, tau * atz)
     accounting.add_macs("solve", accounting.cholesky_solve_macs(n, atz.shape[1]))
     accounting.note_matrices(ata, atz, g, w)
     return w

@@ -125,7 +125,9 @@ def load_idx(images_path, labels_path):
             f"{imgs.shape[0]} images but {labels.shape[0]} labels")
     if imgs.shape[0] == 0:
         raise DataConsistencyError("empty dataset")
-    x = imgs.astype(np.float64)[:, None, :, :] * PIXEL_SCALE
+    # one float64 array, filled in place: no intermediate copy of the images
+    x = np.empty((imgs.shape[0], 1) + imgs.shape[1:])
+    np.multiply(imgs, PIXEL_SCALE, out=x[:, 0])
     y = one_hot(labels)
     return Dataset(x, y, [str(i) for i in range(y.shape[1])])
 

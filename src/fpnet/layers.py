@@ -187,6 +187,8 @@ def _flatten(x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2:
         raise ValueError("input needs a leading sample axis")
+    if x.shape[0] == 0:
+        raise ValueError("input has no samples")
     return x.reshape(x.shape[0], -1)
 
 

@@ -7,7 +7,6 @@ this package, but no bit-level agreement with other libraries is promised.
 """
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import NotPositiveDefiniteError, RankDeficientError
 
@@ -79,7 +78,10 @@ def gaussian_matrix(rows, cols, rng):
 
 
 def spd_solve(g, b):
-    """Solve g @ x = b for symmetric positive definite ``g`` via Cholesky.
+    """Solve g @ x = b for symmetric positive definite ``g``.
+
+    A Cholesky factorisation checks definiteness and the pivots; an LU
+    solve then gives x, C-ordered. Both run on numpy's LAPACK.
 
     Parameters
     ----------
@@ -110,22 +112,37 @@ def spd_solve(g, b):
     if not np.allclose(g, g.T, atol=1e-8 * max(1.0, scale), rtol=0.0):
         raise ValueError("g is not symmetric")
 
-    c, info = lapack.dpotrf(g, lower=1, clean=0, overwrite_a=0)
-    if info > 0:
-        raise NotPositiveDefiniteError(info - 1)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrf")
-    diag = np.diagonal(c)
+    try:
+        # keep only the pivots, so the n x n factor is freed before the solve
+        diag = np.diagonal(np.linalg.cholesky(g)).copy()
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError(_first_failing_pivot(g)) from None
     floor = PIVOT_FLOOR * max(1.0, float(np.max(np.abs(np.diagonal(g)))))
     small = np.nonzero(diag * diag < floor)[0]
     if small.size:
         raise NotPositiveDefiniteError(int(small[0]), message=(
             f"pivot {int(small[0])} below floor: {float(diag[small[0]] ** 2):.3e}"
         ))
-    x, info = lapack.dpotrs(c, b, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrs")
-    return ensure_finite(x, "spd_solve result")
+    return ensure_finite(np.linalg.solve(g, b), "spd_solve result")
+
+
+def _first_failing_pivot(g):
+    """0-based index of the first pivot at which Cholesky of ``g`` fails.
+
+    A leading principal minor is positive definite only if every smaller
+    one is, so bisecting over the order finds the smallest minor that is
+    not: the order LAPACK's potrf reports, less one (rounding can move it
+    by one where a minor is singular to working precision).
+    """
+    good, bad = 0, g.shape[0]  # orders known to factor / to fail
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            np.linalg.cholesky(g[:mid, :mid])
+            good = mid
+        except np.linalg.LinAlgError:
+            bad = mid
+    return bad - 1
 
 
 def pseudo_inverse_rows(u):

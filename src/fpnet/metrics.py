@@ -8,15 +8,11 @@ Multi-class scores are handled one-vs-rest and averaged without weighting
 (macro).
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import UndefinedMetricError
-
-THREADS_ENV = "FP_THREADS"
 
 
 def _scores_labels(scores, labels):
@@ -89,22 +85,8 @@ def accuracy(scores, y):
     return float(np.mean(np.argmax(scores, axis=1) == truth))
 
 
-def _max_workers(n_classes):
-    cap = os.environ.get(THREADS_ENV)
-    workers = min(n_classes, os.cpu_count() or 1)
-    if cap is not None:
-        try:
-            cap = int(cap)
-        except ValueError as e:
-            raise ValueError(f"{THREADS_ENV} must be an integer") from e
-        if cap < 1:
-            raise ValueError(f"{THREADS_ENV} must be >= 1")
-        workers = min(workers, cap)
-    return max(workers, 1)
-
-
 def _one_vs_rest(metric, scores, y):
-    """Per-class values (nan where undefined) computed in a thread pool."""
+    """Per-class values, nan where the metric is undefined for a class."""
     scores = np.asarray(scores, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if scores.shape != y.shape or scores.ndim != 2:
@@ -116,9 +98,7 @@ def _one_vs_rest(metric, scores, y):
         except UndefinedMetricError:
             return float("nan")
 
-    k = scores.shape[1]
-    with ThreadPoolExecutor(max_workers=_max_workers(k)) as pool:
-        values = list(pool.map(per_class, range(k)))
+    values = [per_class(c) for c in range(scores.shape[1])]
     if all(np.isnan(v) for v in values):
         raise UndefinedMetricError("metric undefined for every class")
     return values

@@ -1,12 +1,14 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from fpnet.core import RidgeConfig
-from fpnet.data import (Dataset, dataset_to_csv, few_shot_subsample, load_idx,
-                        one_hot, read_idx_images, read_idx_labels,
+from fpnet.data import (PIXEL_SCALE, Dataset, dataset_to_csv,
+                        few_shot_subsample, load_idx, one_hot,
+                        read_idx_images, read_idx_labels,
                         synthetic_gaussian_task, write_idx)
 from fpnet.errors import DataConsistencyError, IdxFormatError
 from fpnet.layers import LayerSpec, fit_network, predict
@@ -84,6 +86,32 @@ class TestLoadIdx:
         back = load_idx(img2, lab2)
         assert back.x.tobytes() == ds.x.tobytes()
         assert back.y.tobytes() == ds.y.tobytes()
+
+    def test_pixels_bit_identical_to_scaled_bytes(self, tmp_path):
+        pixels = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
+        img, lab = tmp_path / "img", tmp_path / "lab"
+        _image_file(img, pixels)
+        _label_file(lab, np.array([0, 1, 2, 3]))
+        x = load_idx(img, lab).x
+        assert x.flags.c_contiguous and x.dtype == np.float64
+        ref = pixels.astype(np.float64)[:, None] * PIXEL_SCALE
+        assert x.tobytes() == ref.tobytes()
+
+    def test_peak_memory_below_ten_times_file(self, tmp_path):
+        # the float64 images are 8x the pixel bytes; no second copy is held
+        pixels = np.random.default_rng(3).integers(
+            0, 256, size=(2000, 28, 28), dtype=np.uint8)
+        img, lab = tmp_path / "img", tmp_path / "lab"
+        _image_file(img, pixels)
+        _label_file(lab, np.arange(2000) % 10)
+        del pixels
+        tracemalloc.start()
+        try:
+            load_idx(img, lab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * img.stat().st_size
 
     def test_labels_reader_plain_vector(self, tmp_path):
         lab = tmp_path / "lab"

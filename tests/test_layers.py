@@ -425,6 +425,13 @@ class TestBatchedInference:
             predict(net, x)
         assert str(batched.value) == str(single.value)
 
+    @pytest.mark.parametrize("make_net, shape", [
+        (_dense_net, (0, 30)), (_conv_net, (0, 1, 28, 28))],
+        ids=["dense", "conv"])
+    def test_zero_rows_rejected_by_name(self, make_net, shape):
+        with pytest.raises(ValueError, match="^input has no samples$"):
+            predict(make_net(), np.zeros(shape))
+
     def test_predict_memory_independent_of_rows(self):
         net = _conv_net()
         rows = inference_batch_rows(net.layers, (1, 28, 28))

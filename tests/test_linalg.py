@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -90,6 +95,52 @@ class TestSpdSolve:
     def test_rhs_row_mismatch(self):
         with pytest.raises(ValueError):
             spd_solve(np.eye(2), np.ones((3, 1)))
+
+    def test_first_failing_minor_deep_in_matrix(self):
+        # g = L D L.T with unit lower-triangular L: its leading minor of
+        # order k is positive definite exactly when d[:k] is positive
+        rng = SeededRng(5)
+        l = np.tril(rng.standard_normal((64, 64)), -1) + np.eye(64)
+        d = np.ones(64)
+        d[37:] = -1.0
+        g = (l * d) @ l.T
+        g = (g + g.T) / 2
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            spd_solve(g, np.ones((64, 1)))
+        assert err.value.pivot_index == 37
+
+    def test_pivot_below_floor(self):
+        g = np.diag([1.0, 1e-14])
+        with pytest.raises(NotPositiveDefiniteError, match="below floor") as err:
+            spd_solve(g, np.ones((2, 1)))
+        assert err.value.pivot_index == 1
+
+    def test_solution_c_ordered(self):
+        g = np.diag([2.0, 4.0, 8.0])
+        b = np.asfortranarray(np.arange(6.0).reshape(3, 2))
+        assert spd_solve(g, b).flags.c_contiguous
+
+    def test_fit_does_not_load_scipy_linalg(self, tmp_path):
+        # fpnet keeps to numpy's own BLAS and LAPACK; a second BLAS runtime
+        # (scipy's) would compete with numpy's threads for the same cores
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from fpnet import (Dataset, fit_network, mlp_specs, predict,\n"
+            "                   pseudo_inverse_rows)\n"
+            "x = np.random.default_rng(0).standard_normal((40, 6))\n"
+            "y = np.eye(3)[np.arange(40) % 3]\n"
+            "net = fit_network(mlp_specs([8], lam_hidden=1.0, lam_output=1.0),\n"
+            "                  Dataset(x, y, ['a', 'b', 'c']), batch_size=16)\n"
+            "predict(net, x)\n"
+            "pseudo_inverse_rows(x[:4])\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "assert 'scipy.linalg' not in sys.modules\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestPseudoInverseRows:

@@ -187,18 +187,3 @@ class TestMacroReport:
         parts = row.split(",")
         assert parts[0] == "60" and parts[1] == "3"
         assert float(parts[2]) == rep.accuracy
-
-    def test_thread_cap_env(self, monkeypatch):
-        scores, y = self._scores_labels()
-        monkeypatch.setenv("FP_THREADS", "1")
-        rep1 = metric_report(scores, y)
-        monkeypatch.delenv("FP_THREADS")
-        rep2 = metric_report(scores, y)
-        assert rep1.auc_per_class == rep2.auc_per_class
-        assert rep1.aupr_macro == rep2.aupr_macro
-
-    def test_bad_thread_env_rejected(self, monkeypatch):
-        scores, y = self._scores_labels()
-        monkeypatch.setenv("FP_THREADS", "0")
-        with pytest.raises(ValueError):
-            metric_report(scores, y)
