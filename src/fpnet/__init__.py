@@ -23,8 +23,7 @@ from .explain import (ExplanationMap, SpatialOrigin, explain_layer,
                       reconstruct_input, render_map)
 from .layers import (IterativeConfig, LayerSpec, Network, TrainedLayer,
                      activate, extract_windows, fit_layer, fit_network,
-                     fit_output_layer, forward, network_forward, potentials,
-                     predict)
+                     forward, network_forward, potentials, predict)
 from .linalg import (SeededRng, gaussian_matrix, pseudo_inverse_rows,
                      rank_estimate, spd_solve)
 from .metrics import (MetricReport, accuracy, average_precision,

@@ -12,11 +12,7 @@ layer is fitted exactly as in the main method.
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import GramAccumulator, fit_weights
-from .layers import (Network, TrainedLayer, _dataset_xy, _draw_projections,
-                     _layer_rows, fit_output_layer, forward, make_batches)
+from .layers import fit_network
 from .linalg import SeededRng
 
 BASELINES = ("random_features", "label_projection", "noisy_label_projection")
@@ -46,50 +42,17 @@ def make_baseline_targets(kind, y_rows, u, rng=None):
     return ztil
 
 
-def _fit_hidden_baseline(kind, spec, factory, rng):
-    q = u = acc = None
-    for x_batch, y_batch in factory():
-        rows, y_rows = _layer_rows(spec, x_batch, y_batch)
-        if q is None:
-            q, u = _draw_projections(spec, rows.shape[1], y_rows.shape[1])
-            if kind.name == "random_features":
-                # weights are the projection itself; no pass needed
-                return TrainedLayer(spec, w=q, q=q, u=u)
-            acc = GramAccumulator(rows.shape[1], spec.out_channels)
-        acc.update(rows, make_baseline_targets(kind, y_rows, u, rng))
-    if acc is None:
-        raise ValueError("stream produced no batches")
-    w = fit_weights(acc, spec.effective_ridge())
-    return TrainedLayer(spec, w=w, q=q, u=u)
+def fit_baseline_network(kind, specs, dataset, batch_size=256, noise_seed=0,
+                         mode="closed_form"):
+    """Fit ``specs`` under a baseline scheme: the main network fit, with the
+    baseline's hidden-layer targets in place of the main method's.
 
-
-def fit_baseline_network(kind, specs, dataset, batch_size=256, noise_seed=0):
-    """Fit ``specs`` under a baseline scheme; mirrors the main network fit."""
-    specs = list(specs)
-    kinds = [s.kind for s in specs]
-    if kinds.count("output") != 1 or kinds[-1] != "output":
-        raise ValueError("specs must contain exactly one output layer, last")
-    x, y, class_names = _dataset_xy(dataset)
-    raw = make_batches(x, y, batch_size)
-    if not class_names:
-        class_names = [str(i) for i in range(y.shape[1])]
+    One rng seeded by ``noise_seed`` draws the noise of every layer in turn.
+    """
     rng = SeededRng(noise_seed)
 
-    trained = []
-    for spec in specs:
-        prefix = list(trained)
+    def targets(rows, y_rows, q, u, target_spec):
+        return make_baseline_targets(kind, y_rows, u, rng)
 
-        def stream(prefix=prefix):
-            for xb, yb in raw():
-                ab = xb
-                for tl in prefix:
-                    ab = forward(tl, ab)
-                yield ab, yb
-
-        if spec.kind == "global_avg_pool":
-            trained.append(TrainedLayer(spec))
-        elif spec.kind == "output":
-            trained.append(fit_output_layer(spec, stream))
-        else:
-            trained.append(_fit_hidden_baseline(kind, spec, stream, rng))
-    return Network(trained, label_dim=y.shape[1], class_names=class_names)
+    return fit_network(specs, dataset, mode=mode, batch_size=batch_size,
+                       targets=targets)

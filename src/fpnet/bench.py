@@ -55,7 +55,7 @@ def fit_method(method, specs, train, mode="closed_form", batch_size=256,
         return fit_network(specs, train, mode=mode, batch_size=batch_size)
     kind = BaselineKind(method, noise_sigma=noise_sigma)
     return fit_baseline_network(kind, specs, train, batch_size=batch_size,
-                                noise_seed=derive_noise_seed(seed))
+                                noise_seed=derive_noise_seed(seed), mode=mode)
 
 
 def run_benchmark(specs, train, test, mode="closed_form", batch_size=256,

@@ -208,26 +208,29 @@ def ridge_solve(ata, atz, lam, tau=1.0, penalty_diag=None):
     return w
 
 
-def fit_weights(acc, cfg=RidgeConfig()):
+def fit_weights(acc, cfg=RidgeConfig(), penalty_diag=None):
     """Closed-form ridge weights from an accumulator.
 
-    Raises ValueError on an empty accumulator. With lam = 0 a rank-deficient
-    Gram matrix surfaces as NotPositiveDefiniteError from the solve.
+    ``penalty_diag`` is passed on to ``ridge_solve``. Raises ValueError on
+    an empty accumulator. With lam = 0 a rank-deficient Gram matrix
+    surfaces as NotPositiveDefiniteError from the solve.
     """
     if acc.n_seen < 1:
         raise ValueError("accumulator has seen no samples")
-    return ridge_solve(acc.ata, acc.atz, cfg.lam, tau=cfg.tau)
+    return ridge_solve(acc.ata, acc.atz, cfg.lam, tau=cfg.tau,
+                       penalty_diag=penalty_diag)
 
 
-def iterative_update(w, a_batch, ztil, eta, lam):
+def iterative_update(w, a_batch, ztil, eta, lam, penalty_diag=None):
     """One gradient step on the batch ridge objective.
 
-    grad = (2/B) * a.T @ (a @ w - ztil) + (2/B) * lam * w
+    grad = (2/B) * a.T @ (a @ w - ztil) + (2/B) * lam * P @ w
     w_next = w - eta * grad
 
-    The 2/B factor is part of the objective's definition (mean squared
-    error over the batch), kept explicit so step sizes transfer between
-    batch sizes.
+    P is the identity unless ``penalty_diag`` gives its diagonal, as in
+    ``ridge_solve``. The 2/B factor is part of the objective's definition
+    (mean squared error over the batch), kept explicit so step sizes
+    transfer between batch sizes.
     """
     w = as_matrix(w, "w")
     a = as_matrix(a_batch, "a_batch")
@@ -235,8 +238,14 @@ def iterative_update(w, a_batch, ztil, eta, lam):
     b = a.shape[0]
     if a.shape[1] != w.shape[0] or z.shape != (b, w.shape[1]):
         raise ValueError("shapes do not conform for an update step")
+    penalised = w
+    if penalty_diag is not None:
+        penalty_diag = np.asarray(penalty_diag, dtype=np.float64)
+        if penalty_diag.shape != (w.shape[0],):
+            raise ValueError("penalty_diag length must match w's rows")
+        penalised = penalty_diag[:, None] * w
     resid = a @ w - z
-    grad = (2.0 / b) * (a.T @ resid) + (2.0 / b) * lam * w
+    grad = (2.0 / b) * (a.T @ resid) + (2.0 / b) * lam * penalised
     accounting.add_macs("gram",
                         accounting.matmul_macs(b, a.shape[1], w.shape[1])
                         + accounting.matmul_macs(a.shape[1], b, w.shape[1]))

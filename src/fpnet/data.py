@@ -200,14 +200,3 @@ def synthetic_gaussian_task(n, dim, classes, separation, rng):
     order = rng.permutation(n)
     return Dataset(x[order], one_hot(labels[order], classes),
                    [str(c) for c in range(classes)])
-
-
-def dataset_to_csv(ds, path):
-    """One sample per line: flattened features then the label index."""
-    flat = ds.x.reshape(ds.n, -1)
-    labels = ds.labels
-    with open(path, "w") as fh:
-        fh.write(",".join(f"x{i}" for i in range(flat.shape[1])) + ",label\n")
-        for i in range(ds.n):
-            feats = ",".join(f"{v:.10g}" for v in flat[i])
-            fh.write(f"{feats},{labels[i]}\n")

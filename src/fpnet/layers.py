@@ -21,9 +21,9 @@ import numpy as np
 
 from . import accounting
 from .core import (HIDDEN_LAMBDA, OUTPUT_LAMBDA, GramAccumulator, RidgeConfig,
-                   TargetGenSpec, apply_g, fit_weights, generate_targets,
-                   iterative_update, ridge_solve)
-from .linalg import SeededRng, as_matrix, ensure_finite, gaussian_matrix
+                   TargetGenSpec, fit_weights, generate_targets,
+                   iterative_update)
+from .linalg import SeededRng, as_matrix, gaussian_matrix
 
 LAYER_KINDS = ("dense", "conv1d", "conv2d", "global_avg_pool", "output")
 ACTIVATIONS = ("relu", "sign", "tanh", "identity", "mod2", "square")
@@ -264,9 +264,12 @@ def _layer_rows(spec, x_batch, y_batch):
     """Per-row design matrix and aligned labels for one batch.
 
     Conv layers contribute one row per window position, all sharing the
-    sample's label row.
+    sample's label row. The output layer's rows end in an intercept column.
     """
     y = as_matrix(y_batch, "y_batch")
+    if spec.kind == "output":
+        a = _flatten(x_batch)
+        return np.hstack([a, np.ones((a.shape[0], 1))]), y
     if spec.kind == "dense":
         return _flatten(x_batch), y
     rows = extract_windows(np.asarray(x_batch, dtype=np.float64),
@@ -282,105 +285,6 @@ def _draw_projections(spec, in_dim, label_dim):
     q = gaussian_matrix(in_dim, spec.out_channels, SeededRng(tgt.q_seed))
     u = gaussian_matrix(label_dim, spec.out_channels, SeededRng(tgt.u_seed))
     return q, u
-
-
-def fit_layer(spec, stream, q=None, u=None):
-    """Fit one hidden layer in a single pass over a batch stream.
-
-    stream : zero-argument callable producing an iterator of
-        (activations, labels) batch pairs, or a re-iterable of them.
-    q, u : explicit projections; by default both are drawn from the
-        layer's target seeds on the first batch.
-
-    Targets for every batch are generated with the layer's frozen q and u,
-    Gram sums are accumulated, and the weights are solved once at the end.
-    """
-    if spec.kind not in ("dense", "conv1d", "conv2d"):
-        raise ValueError(f"fit_layer handles trainable hidden layers, not {spec.kind}")
-    factory = _stream_factory(stream)
-    acc = None
-    for x_batch, y_batch in factory():
-        rows, y_rows = _layer_rows(spec, x_batch, y_batch)
-        if acc is None:
-            if q is None or u is None:
-                q, u = _draw_projections(spec, rows.shape[1], y_rows.shape[1])
-            acc = GramAccumulator(rows.shape[1], spec.out_channels)
-        ztil = generate_targets(rows, y_rows, q, u, spec.target)
-        acc.update(rows, ztil)
-        accounting.note_matrices(acc.ata, acc.atz, q, u, rows, ztil)
-    if acc is None:
-        raise ValueError("stream produced no batches")
-    w = fit_weights(acc, spec.effective_ridge())
-    return TrainedLayer(spec, w=w, q=q, u=u)
-
-
-def _fit_layer_iterative(spec, factory, cfg):
-    q = u = w = None
-    lam = spec.effective_ridge().lam
-    for _ in range(cfg.epochs):
-        for x_batch, y_batch in factory():
-            rows, y_rows = _layer_rows(spec, x_batch, y_batch)
-            if w is None:
-                q, u = _draw_projections(spec, rows.shape[1], y_rows.shape[1])
-                w = np.zeros((rows.shape[1], spec.out_channels))
-            ztil = generate_targets(rows, y_rows, q, u, spec.target)
-            w = iterative_update(w, rows, ztil, cfg.eta, lam)
-    if w is None:
-        raise ValueError("stream produced no batches")
-    return TrainedLayer(spec, w=w, q=q, u=u)
-
-
-def _output_penalty(d):
-    # unit penalty on every weight row, none on the trailing intercept row
-    p = np.ones(d + 1)
-    p[d] = 0.0
-    return p
-
-
-def fit_output_layer(spec, stream):
-    """Ridge from flattened activations (plus intercept) to one-hot labels.
-
-    The intercept column is appended inside and its row is left out of the
-    ridge penalty, so shifting all activations by a constant moves only
-    the intercept.
-    """
-    if spec.kind != "output":
-        raise ValueError(f"expected an output spec, got {spec.kind}")
-    factory = _stream_factory(stream)
-    acc = None
-    for x_batch, y_batch in factory():
-        a = _flatten(x_batch)
-        y = as_matrix(y_batch, "y_batch")
-        a1 = np.hstack([a, np.ones((a.shape[0], 1))])
-        if acc is None:
-            acc = GramAccumulator(a1.shape[1], y.shape[1])
-        acc.update(a1, y)
-    if acc is None:
-        raise ValueError("stream produced no batches")
-    cfg = spec.effective_ridge()
-    d = acc.ata.shape[0] - 1
-    w = ridge_solve(acc.ata, acc.atz, cfg.lam, tau=cfg.tau,
-                    penalty_diag=_output_penalty(d))
-    return TrainedLayer(spec, w=w)
-
-
-def _fit_output_iterative(spec, factory, cfg):
-    lam = spec.effective_ridge().lam
-    w = None
-    for _ in range(cfg.epochs):
-        for x_batch, y_batch in factory():
-            a = _flatten(x_batch)
-            y = as_matrix(y_batch, "y_batch")
-            a1 = np.hstack([a, np.ones((a.shape[0], 1))])
-            if w is None:
-                w = np.zeros((a1.shape[1], y.shape[1]))
-            b = a1.shape[0]
-            grad = (2.0 / b) * (a1.T @ (a1 @ w - y))
-            grad += (2.0 / b) * lam * (_output_penalty(a.shape[1])[:, None] * w)
-            w = ensure_finite(w - cfg.eta * grad, "updated output weights")
-    if w is None:
-        raise ValueError("stream produced no batches")
-    return TrainedLayer(spec, w=w)
 
 
 @dataclass(frozen=True)
@@ -400,6 +304,73 @@ class IterativeConfig:
             raise ValueError("eta must be positive")
         if self.epochs < 1 or self.batch < 1:
             raise ValueError("epochs and batch must be >= 1")
+
+
+def _is_iterative(mode):
+    if isinstance(mode, IterativeConfig):
+        return True
+    if mode != "closed_form":
+        raise ValueError(f"unknown mode {mode!r}")
+    return False
+
+
+def fit_layer(spec, stream, q=None, u=None, mode="closed_form", targets=None):
+    """Fit one hidden or output layer over a batch stream.
+
+    stream : zero-argument callable producing an iterator of
+        (activations, labels) batch pairs, or a re-iterable of them.
+    q, u : explicit projections of a hidden layer; by default both are
+        drawn from the layer's target seeds on the first batch.
+    mode : "closed_form" accumulates Gram sums in one pass and solves the
+        ridge once at the end; an IterativeConfig takes one gradient step on
+        the same objective per batch, over ``epochs`` passes.
+    targets : a hidden layer's target source, called on every batch as
+        ``targets(rows, y_rows, q, u, spec.target)``. It returns the batch's
+        target potentials, or None when the weights are q itself and no
+        pass is needed. Defaults to ``generate_targets``.
+
+    The output layer's targets are the labels. Its rows gain an intercept
+    column whose weight row is left out of the ridge penalty, so shifting
+    all activations by a constant moves only the intercept.
+    """
+    if spec.kind not in ("dense", "conv1d", "conv2d", "output"):
+        raise ValueError(f"fit_layer handles trainable and output layers, "
+                         f"not {spec.kind}")
+    iterative = _is_iterative(mode)
+    output = spec.kind == "output"
+    source = generate_targets if targets is None else targets
+    factory = _stream_factory(stream)
+    ridge = spec.effective_ridge()
+    acc = w = penalty = None
+    for _ in range(mode.epochs if iterative else 1):
+        for x_batch, y_batch in factory():
+            rows, y_rows = _layer_rows(spec, x_batch, y_batch)
+            if output:  # fit the labels; leave the intercept unpenalised
+                z, width = y_rows, y_rows.shape[1]
+                penalty = np.append(np.ones(rows.shape[1] - 1), 0.0)
+            else:
+                if q is None or u is None:
+                    q, u = _draw_projections(spec, rows.shape[1],
+                                             y_rows.shape[1])
+                z = source(rows, y_rows, q, u, spec.target)
+                if z is None:
+                    return TrainedLayer(spec, w=q, q=q, u=u)
+                width = spec.out_channels
+            if iterative:
+                if w is None:
+                    w = np.zeros((rows.shape[1], width))
+                w = iterative_update(w, rows, z, mode.eta, ridge.lam, penalty)
+                accounting.note_matrices(w, q, u, rows, z)
+            else:
+                if acc is None:
+                    acc = GramAccumulator(rows.shape[1], width)
+                acc.update(rows, z)
+                accounting.note_matrices(acc.ata, acc.atz, q, u, rows, z)
+    if acc is None and w is None:
+        raise ValueError("stream produced no batches")
+    if not iterative:
+        w = fit_weights(acc, ridge, penalty)
+    return TrainedLayer(spec, w=w, q=q, u=u)
 
 
 def _dataset_xy(dataset):
@@ -426,7 +397,8 @@ def make_batches(x, y, batch_size):
     return factory
 
 
-def fit_network(specs, dataset, mode="closed_form", batch_size=256):
+def fit_network(specs, dataset, mode="closed_form", batch_size=256,
+                targets=None):
     """Fit a whole network layer by layer, front to back.
 
     Each trainable layer consumes exactly one pass over the data in
@@ -435,18 +407,18 @@ def fit_network(specs, dataset, mode="closed_form", batch_size=256):
     signal ever flows backward.
 
     dataset : anything with .x / .y / .class_names, or an (x, y) pair.
-    mode : "closed_form" or an IterativeConfig.
+    mode : "closed_form" or an IterativeConfig, whose batch size then
+        replaces ``batch_size``.
+    targets : the hidden layers' target source, as in ``fit_layer``;
+        Forward Projection's ``generate_targets`` by default.
     """
     specs = list(specs)
     kinds = [s.kind for s in specs]
     if kinds.count("output") != 1 or kinds[-1] != "output":
         raise ValueError("specs must contain exactly one output layer, last")
-    iterative = isinstance(mode, IterativeConfig)
-    if not iterative and mode != "closed_form":
-        raise ValueError(f"unknown mode {mode!r}")
-    x, y, class_names = _dataset_xy(dataset)
-    if iterative:
+    if _is_iterative(mode):
         batch_size = mode.batch
+    x, y, class_names = _dataset_xy(dataset)
     raw = make_batches(x, y, batch_size)
     if not class_names:
         class_names = [str(i) for i in range(y.shape[1])]
@@ -462,14 +434,8 @@ def fit_network(specs, dataset, mode="closed_form", batch_size=256):
                     ab = forward(tl, ab)
                 yield ab, yb
 
-        if spec.kind == "global_avg_pool":
-            trained.append(TrainedLayer(spec))
-        elif spec.kind == "output":
-            trained.append(_fit_output_iterative(spec, stream, mode)
-                           if iterative else fit_output_layer(spec, stream))
-        else:
-            trained.append(_fit_layer_iterative(spec, stream, mode)
-                           if iterative else fit_layer(spec, stream))
+        trained.append(TrainedLayer(spec) if spec.kind == "global_avg_pool"
+                       else fit_layer(spec, stream, mode=mode, targets=targets))
     return Network(trained, label_dim=y.shape[1], class_names=class_names)
 
 

@@ -1,16 +1,19 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from fpnet import accounting
+from fpnet import accounting, baselines, layers
 from fpnet.accounting import (PHASES, CostLedger, add_macs,
                               cholesky_solve_macs, matmul_macs, note_matrices,
                               track)
+from fpnet.baselines import BASELINES
 from fpnet.bench import (METHODS, bottleneck_sweep, derive_layer_seeds,
                          derive_noise_seed, fewshot_sweep, fit_method,
                          mlp_specs, rows_to_csv, run_benchmark)
 from fpnet.core import RidgeConfig, TargetGenSpec
 from fpnet.data import synthetic_gaussian_task
-from fpnet.layers import LayerSpec, fit_network
+from fpnet.layers import IterativeConfig, LayerSpec, fit_network
 from fpnet.linalg import SeededRng
 
 
@@ -155,6 +158,25 @@ class TestHarness:
         with pytest.raises(ValueError):
             fit_method("gradient_descent", specs, train)
 
+    @pytest.mark.parametrize("method", BASELINES)
+    def test_fit_method_baselines_follow_mode(self, method):
+        train, _ = self._splits()
+        specs = mlp_specs([16, 8], seed=0)
+        closed = fit_method(method, specs, train, seed=3)
+        iterative = fit_method(method, specs, train, seed=3,
+                               mode=IterativeConfig(eta=1e-3, epochs=2,
+                                                    batch=64))
+        out_c, out_i = closed.layers[-1].w, iterative.layers[-1].w
+        assert out_c.shape == out_i.shape
+        assert not np.allclose(out_c, out_i)
+        for hc, hi in zip(closed.layers[:-1], iterative.layers[:-1]):
+            assert hc.q.tobytes() == hi.q.tobytes()
+            if method == "random_features":  # hidden layers are not fitted
+                assert np.array_equal(hi.w, hi.q)
+            else:
+                assert hc.w.shape == hi.w.shape
+                assert not np.allclose(hc.w, hi.w)
+
     def test_bottleneck_sweep_rows(self, tmp_path):
         train, test = self._splits()
         rows = bottleneck_sweep(train, test, widths=(8, 16),
@@ -181,3 +203,15 @@ class TestHarness:
     def test_rows_to_csv_rejects_empty(self, tmp_path):
         with pytest.raises(ValueError):
             rows_to_csv([], tmp_path / "x.csv")
+
+
+class TestTracedSignatures:
+    # the traced benchmark binds these arguments by name and fails with a
+    # KeyError if a refactor renames them
+    def test_layer_fit_takes_spec(self):
+        assert "spec" in inspect.signature(layers.fit_layer).parameters
+
+    @pytest.mark.parametrize("fit", [layers.fit_network,
+                                     baselines.fit_baseline_network])
+    def test_network_fits_take_specs(self, fit):
+        assert "specs" in inspect.signature(fit).parameters

@@ -6,9 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fpnet.core import RidgeConfig
-from fpnet.data import (PIXEL_SCALE, Dataset, dataset_to_csv,
-                        few_shot_subsample, load_idx, one_hot,
-                        read_idx_images, read_idx_labels,
+from fpnet.data import (PIXEL_SCALE, Dataset, few_shot_subsample, load_idx,
+                        one_hot, read_idx_images, read_idx_labels,
                         synthetic_gaussian_task, write_idx)
 from fpnet.errors import DataConsistencyError, IdxFormatError
 from fpnet.layers import LayerSpec, fit_network, predict
@@ -219,19 +218,6 @@ class TestSyntheticTask:
             synthetic_gaussian_task(10, 2, 3, 1.0, SeededRng(26))
         # separation 0 needs no mean directions, any class count works
         synthetic_gaussian_task(10, 2, 3, 0.0, SeededRng(26))
-
-
-class TestCsvExport:
-    def test_header_and_rows(self, tmp_path):
-        ds = Dataset(np.array([[0.5, 1.0], [0.25, 0.75]]),
-                     one_hot(np.array([1, 0])), ["a", "b"])
-        path = tmp_path / "ds.csv"
-        dataset_to_csv(ds, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x0,x1,label"
-        assert lines[1].endswith(",1")
-        assert lines[2].endswith(",0")
-        assert len(lines) == 3
 
 
 @pytest.mark.fmnist

@@ -5,11 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import fpnet.layers as layers_mod
+from fpnet import accounting
 from fpnet.core import RidgeConfig, TargetGenSpec, generate_targets
 from fpnet.data import Dataset, one_hot
 from fpnet.layers import (INFERENCE_BUDGET_BYTES, IterativeConfig, LayerSpec,
                           Network, TrainedLayer, activate, extract_windows,
-                          fit_layer, fit_network, fit_output_layer, forward,
+                          fit_layer, fit_network, forward,
                           inference_batch_rows, make_batches, network_forward,
                           potentials, predict)
 from fpnet.linalg import SeededRng, gaussian_matrix
@@ -179,6 +180,47 @@ class TestFitLayer:
 
         fit_layer(_dense_spec(3), factory)
         assert calls["n"] == 1
+
+
+class TestOutputLayerFit:
+    def _task(self, n=900, d=50, k=5, seed=31):
+        x = SeededRng(seed).standard_normal((n, d))
+        return x, one_hot(np.arange(n) % k)
+
+    def test_closed_form_output_matches_intercept_ridge(self):
+        x, y = self._task(n=200, d=6, k=3)
+        lam = 2.0
+        layer = fit_layer(LayerSpec("output", ridge=RidgeConfig(lam=lam)),
+                          make_batches(x, y, 64))
+        a1 = np.hstack([x, np.ones((x.shape[0], 1))])
+        penalty = np.diag([1.0] * 6 + [0.0])
+        ref = np.linalg.solve(a1.T @ a1 + lam * penalty, a1.T @ y)
+        assert layer.q is None and layer.u is None
+        assert_allclose(layer.w, ref, rtol=1e-10, atol=1e-12)
+
+    def test_iterative_output_steps_leave_intercept_unpenalised(self):
+        x, y = self._task(n=40, d=4, k=2)
+        lam, eta = 3.0, 0.05
+        spec = LayerSpec("output", ridge=RidgeConfig(lam=lam))
+        layer = fit_layer(spec, [(x, y)],
+                          mode=IterativeConfig(eta=eta, epochs=3, batch=40))
+        a1 = np.hstack([x, np.ones((40, 1))])
+        penalty = np.array([1.0] * 4 + [0.0])[:, None]
+        w = np.zeros((5, 2))
+        for _ in range(3):
+            grad = (2.0 / 40) * (a1.T @ (a1 @ w - y) + lam * penalty * w)
+            w = w - eta * grad
+        assert_allclose(layer.w, w, rtol=1e-12, atol=1e-15)
+
+    def test_iterative_output_reports_gram_macs(self):
+        # 2 * B * (d + 1) * k per batch: 9 batches of 100 a pass, 2 passes
+        x, y = self._task()
+        ledger = accounting.CostLedger()
+        with accounting.track(ledger):
+            fit_network([LayerSpec("output")], (x, y),
+                        mode=IterativeConfig(eta=1e-3, epochs=2, batch=100))
+        assert ledger.macs["gram"] == 2 * 100 * 51 * 5 * 9 * 2 == 918_000
+        assert ledger.macs["solve"] == 0
 
 
 class TestFitNetwork:
