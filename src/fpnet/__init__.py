@@ -16,9 +16,9 @@ from .core import (GramAccumulator, RidgeConfig, TargetGenSpec, fit_weights,
 from .data import (Dataset, few_shot_subsample, load_idx,
                    synthetic_gaussian_task, write_idx)
 from .errors import (CheckpointFormatError, ConfigError, DataConsistencyError,
-                     FpnetError, IdxFormatError, NotPositiveDefiniteError,
-                     RankDeficientError, UndefinedMetricError,
-                     UnsupportedNonlinearityError)
+                     DivergenceError, FpnetError, IdxFormatError,
+                     NotPositiveDefiniteError, RankDeficientError,
+                     UndefinedMetricError, UnsupportedNonlinearityError)
 from .explain import (ExplanationMap, SpatialOrigin, explain_layer,
                       reconstruct_input, render_map)
 from .layers import (IterativeConfig, LayerSpec, Network, TrainedLayer,

@@ -17,8 +17,9 @@ class CostLedger:
     """Per-phase MAC totals plus the peak bytes held in live fitting matrices.
 
     `peak_matrix_bytes` tracks the largest simultaneous footprint reported
-    via ``note_matrices``; it deliberately excludes the dataset itself so
-    that streaming fits report a footprint independent of sample count.
+    via ``note_matrices`` (arrays, or anything with ``nbytes``, such as a
+    GramAccumulator); it deliberately excludes the dataset itself so that
+    streaming fits report a footprint independent of sample count.
     """
 
     macs: dict = field(default_factory=lambda: {p: 0 for p in PHASES})

@@ -17,6 +17,7 @@ Readers reject files whose version is newer than they understand.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -94,6 +95,49 @@ def _spec_from_header(entry):
                      activation=entry["activation"], target=target, ridge=ridge)
 
 
+def _check_shapes(layers, label_dim):
+    """Raise CheckpointFormatError unless each layer's w, q and u fit its
+    spec, the label width and the layer before it.
+
+    ``width`` is what the previous layer emits: features, or channels when
+    ``spatial`` (a conv output, whose extent is not stored). Nothing states
+    the network's input width, so the first layer's is taken as it is.
+    """
+    width, spatial = None, False
+    for i, tl in enumerate(layers):
+        spec = tl.spec
+        if spec.kind == "global_avg_pool":
+            ok = (tl.w is None and tl.q is None and tl.u is None
+                  and (width is None or spatial))
+            spatial = False
+        else:
+            conv = spec.kind in ("conv1d", "conv2d")
+            out = label_dim if spec.kind == "output" else spec.out_channels
+            fan_in, cols = tl.w.shape
+            if conv:
+                per = math.prod(spec.kernel)
+                fits = fan_in % per == 0 and (
+                    width is None or (spatial and fan_in == width * per))
+            else:  # an output layer's weights may end in an intercept row
+                fans = (fan_in, fan_in - 1) if spec.kind == "output" else (fan_in,)
+                fits = width is None or any(
+                    f > 0 and (f == width or (spatial and f % width == 0))
+                    for f in fans)
+            if spec.kind == "output":
+                projections = tl.q is None and tl.u is None
+            else:
+                projections = ((tl.q is None or tl.q.shape == tl.w.shape) and
+                               (tl.u is None or tl.u.shape == (label_dim, out)))
+            ok = fan_in > 0 and cols == out and fits and projections
+            width, spatial = out, conv
+        if not ok:
+            shapes = {f: getattr(tl, f).shape for f in _MATRIX_FIELDS
+                      if getattr(tl, f) is not None}
+            raise CheckpointFormatError(
+                f"layer {i} ({spec.kind}): matrix shapes {shapes} do not fit "
+                f"its spec, the label width or the layer before")
+
+
 def _decode_network(header, buf, off):
     """Network and end offset from a parsed header and the matrices at ``off``."""
     layers = []
@@ -115,6 +159,7 @@ def _decode_network(header, buf, off):
         if spec.kind != "global_avg_pool" and "w" not in matrices:
             raise CheckpointFormatError(f"layer {i} ({spec.kind}) has no weights")
         layers.append(TrainedLayer(spec, **matrices))
+    _check_shapes(layers, header["label_dim"])
     return Network(layers, label_dim=header["label_dim"],
                    class_names=header["class_names"]), off
 
@@ -122,7 +167,8 @@ def _decode_network(header, buf, off):
 def load_network(path):
     """Read a checkpoint written by save_network.
 
-    Any structural fault in the file raises CheckpointFormatError.
+    Any structural fault in the file raises CheckpointFormatError, as do
+    matrix shapes that do not chain from layer to layer.
     """
     with open(path, "rb") as fh:
         buf = fh.read()

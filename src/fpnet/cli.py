@@ -7,7 +7,7 @@ resolved_config.json, so rerunning a config reproduces the checkpoint
 byte for byte.
 
 Exit codes: 0 success, 2 config or usage error, 3 data format error,
-4 numeric failure.
+4 numeric failure (a singular system, or iterative training diverging).
 """
 
 import argparse
@@ -20,16 +20,15 @@ import numpy as np
 from . import accounting
 from .accounting import CostLedger, PHASES
 from .bench import (METHODS, bottleneck_sweep, derive_layer_seeds,
-                    derive_noise_seed, fewshot_sweep, fit_method,
-                    rows_to_csv)
+                    fewshot_sweep, fit_method, rows_to_csv, run_benchmark)
 from .checkpoint import load_network, save_network
 from .core import RidgeConfig, TargetGenSpec, TARGET_NONLINEARITIES
 from .data import (Dataset, load_idx, read_idx_images, synthetic_gaussian_task,
                    PIXEL_SCALE)
 from .errors import (CheckpointFormatError, ConfigError, DataConsistencyError,
-                     FpnetError, IdxFormatError, NotPositiveDefiniteError,
-                     RankDeficientError, UndefinedMetricError,
-                     UnsupportedNonlinearityError)
+                     DivergenceError, FpnetError, IdxFormatError,
+                     NotPositiveDefiniteError, RankDeficientError,
+                     UndefinedMetricError, UnsupportedNonlinearityError)
 from .explain import explain_layer, input_origin, render_map, write_map_csv, write_map_pgm
 from .layers import (ACTIVATIONS, IterativeConfig, LayerSpec, Network,
                      network_forward, potentials, predict)
@@ -323,15 +322,10 @@ def cmd_bench(args):
     train, test = build_datasets(resolved["data"])
     if test is None:
         raise ConfigError("bench needs a test split")
-    specs = specs_from_config(resolved)
-    ledger = CostLedger()
-    with accounting.track(ledger):
-        net = fit_method(args.method, specs, train,
-                         mode=_mode_object(resolved["mode"]),
-                         batch_size=resolved["batch_size"],
-                         seed=resolved["seed"])
-        scores, _ = predict(net, test.x)
-    rep = metric_report(scores, test.y, seed=resolved["seed"])
+    rep, ledger = run_benchmark(specs_from_config(resolved), train, test,
+                                mode=_mode_object(resolved["mode"]),
+                                batch_size=resolved["batch_size"],
+                                seed=resolved["seed"], method=args.method)
     _write_metrics([("test", rep)], out_dir)
     _write_costs(ledger, out_dir)
     print(f"method={args.method} accuracy={rep.accuracy:.4f} "
@@ -453,7 +447,7 @@ def main(argv=None):
         print(f"data error: {e}", file=sys.stderr)
         return 3
     except (NotPositiveDefiniteError, RankDeficientError,
-            UndefinedMetricError) as e:
+            UndefinedMetricError, DivergenceError) as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return 4
     except OSError as e:

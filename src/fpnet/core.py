@@ -13,6 +13,12 @@ layer weights are then the ridge solution
 
 computed from running sums a.T @ a and a.T @ ztil, so only one pass over
 the data is needed and memory does not grow with sample count.
+
+A layer that has seen fewer rows n than it has inputs d keeps the rows
+instead and solves the dual w = a.T @ inv(a @ a.T + lam * I) @ ztil, an
+n x n system. Memory still does not grow with n: the kept rows never
+outweigh the d x d sums they stand in for, and they are folded into the
+sums as soon as n reaches d.
 """
 
 from dataclasses import dataclass
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import accounting
-from .errors import NotPositiveDefiniteError
+from .errors import DivergenceError
 from .linalg import as_matrix, ensure_finite, spd_solve
 
 TARGET_NONLINEARITIES = ("sign", "identity", "tanh")
@@ -31,6 +37,10 @@ OUTPUT_LAMBDA = 1.0
 
 # Accumulator entries above this trigger automatic downscaling in the solve.
 RESCALE_THRESHOLD = 1e12
+
+# A batch loss this many times that of zero weights on the same batch means
+# the gradient steps diverge (eta above 2 / the batch Hessian's top eigenvalue).
+DIVERGENCE_RATIO = 1e6
 
 
 def apply_g(name, x):
@@ -124,7 +134,16 @@ class GramAccumulator:
     Sufficient statistics for the ridge fit: once every batch has been
     folded in, the solve needs nothing else. Accumulation is a plain sum,
     so batch order and batch boundaries do not matter beyond floating-point
-    rounding, and two accumulators built on disjoint shards can be merged.
+    rounding.
+
+    While fewer than ``in_dim`` rows have arrived, the batches themselves
+    are kept, by reference and not copied, in ``kept``: n < d rows of width
+    d take less memory than the d x d sums they would build, and
+    ``fit_weights`` solves the n x n dual system from them. The batch that
+    brings ``n_seen`` to ``in_dim`` folds the kept batches into the sums in
+    arrival order, so the sums are bit for bit those of summing every batch
+    on arrival. Reading ``ata`` or ``atz`` folds as well. A batch must not
+    be modified after it is passed in.
 
     Not safe for concurrent writers.
     """
@@ -133,45 +152,78 @@ class GramAccumulator:
         in_dim, out_dim = int(in_dim), int(out_dim)
         if in_dim < 1 or out_dim < 1:
             raise ValueError("accumulator dimensions must be positive")
-        self.ata = np.zeros((in_dim, in_dim))
-        self.atz = np.zeros((in_dim, out_dim))
+        self.in_dim, self.out_dim = in_dim, out_dim
+        self.kept = []
+        self._ata = self._atz = None
         self.n_seen = 0
+
+    @property
+    def ata(self):
+        self._fold()
+        return self._ata
+
+    @property
+    def atz(self):
+        self._fold()
+        return self._atz
+
+    @property
+    def nbytes(self):
+        """Bytes held: the kept batches, or the two sums once folded."""
+        if self._ata is None:
+            return sum(a.nbytes + z.nbytes for a, z in self.kept)
+        return self._ata.nbytes + self._atz.nbytes
 
     def update(self, a_batch, z_batch):
         a = as_matrix(a_batch, "a_batch")
         z = as_matrix(z_batch, "z_batch")
-        if a.shape[1] != self.ata.shape[0]:
+        if a.shape[1] != self.in_dim:
             raise ValueError(
                 f"batch has {a.shape[1]} columns, accumulator expects "
-                f"{self.ata.shape[0]}")
-        if z.shape != (a.shape[0], self.atz.shape[1]):
+                f"{self.in_dim}")
+        if z.shape != (a.shape[0], self.out_dim):
             raise ValueError(
                 f"targets shaped {z.shape}, expected "
-                f"({a.shape[0]}, {self.atz.shape[1]})")
-        self.ata += a.T @ a
-        self.atz += a.T @ z
+                f"({a.shape[0]}, {self.out_dim})")
         self.n_seen += a.shape[0]
+        if self._ata is None and self.n_seen < self.in_dim:
+            self.kept.append((a, z))
+            accounting.note_matrices(self)
+            return
+        self._fold()
+        self._add(a, z)
+        accounting.note_matrices(self, a, z)
+
+    def stacked(self):
+        """The kept batches as one (rows, targets) pair, in arrival order."""
+        if len(self.kept) > 1:
+            self.kept = [tuple(np.concatenate(part) for part in zip(*self.kept))]
+        return self.kept[0]
+
+    def _add(self, a, z):
+        self._ata += a.T @ a
+        self._atz += a.T @ z
         b, m = a.shape
         accounting.add_macs("gram",
                             accounting.matmul_macs(m, b, m)
                             + accounting.matmul_macs(m, b, z.shape[1]))
-        accounting.note_matrices(self.ata, self.atz, a, z)
 
-    def merge(self, other):
-        """Combine two accumulators built on disjoint shards.
+    def _fold(self):
+        if self._ata is None:
+            self._ata = np.zeros((self.in_dim, self.in_dim))
+            self._atz = np.zeros((self.in_dim, self.out_dim))
+        while self.kept:
+            self._add(*self.kept.pop(0))
 
-        Returns a new accumulator; inputs are left untouched. The summed
-        ata is re-symmetrised to stop rounding skew from compounding
-        across repeated merges.
-        """
-        if self.ata.shape != other.ata.shape or self.atz.shape != other.atz.shape:
-            raise ValueError("accumulator shapes do not match")
-        merged = GramAccumulator(self.ata.shape[0], self.atz.shape[1])
-        s = self.ata + other.ata
-        merged.ata = (s + s.T) / 2.0
-        merged.atz = self.atz + other.atz
-        merged.n_seen = self.n_seen + other.n_seen
-        return merged
+
+def _auto_tau(gram, tau):
+    """tau, or 1 / max|gram| when tau is left at 1 and an entry of ``gram``
+    exceeds RESCALE_THRESHOLD."""
+    if tau == 1.0:
+        peak = float(np.max(np.abs(gram)))
+        if peak > RESCALE_THRESHOLD:
+            return 1.0 / peak
+    return tau
 
 
 def ridge_solve(ata, atz, lam, tau=1.0, penalty_diag=None):
@@ -186,10 +238,7 @@ def ridge_solve(ata, atz, lam, tau=1.0, penalty_diag=None):
     ata = as_matrix(ata, "ata")
     atz = as_matrix(atz, "atz")
     n = ata.shape[0]
-    if tau == 1.0:
-        peak = float(np.max(np.abs(ata)))
-        if peak > RESCALE_THRESHOLD:
-            tau = 1.0 / peak
+    tau = _auto_tau(ata, tau)
     if penalty_diag is None:
         penalty_diag = np.ones(n)
     else:
@@ -208,15 +257,59 @@ def ridge_solve(ata, atz, lam, tau=1.0, penalty_diag=None):
     return w
 
 
+def _dual_solve(a, z, lam, tau, intercept):
+    """Ridge weights from the n x n dual system of n rows of width d > n.
+
+    w = a.T @ inv(a @ a.T + lam * I) @ z is the primal ridge solution
+    (Woodbury identity), for n^2 d Gram MACs and an n x n solve instead of
+    n d^2 and a d x d one. tau and its auto-rescale act on a @ a.T as in
+    ``ridge_solve`` on a.T @ a. With ``intercept``, a's last column is an
+    unpenalised constant 1: rows and targets are centred, that column is
+    dropped, and its weight row is recovered as mean(z) - mean(a) @ w.
+    """
+    if intercept:
+        mean_a, mean_z = a[:, :-1].mean(axis=0), z.mean(axis=0)
+        a, z = a[:, :-1] - mean_a, z - mean_z
+    n, d = a.shape
+    k = z.shape[1]
+    g = a @ a.T
+    tau = _auto_tau(g, tau)
+    if tau != 1.0:
+        g *= tau
+        z = tau * z
+    g[np.diag_indices(n)] += tau * lam
+    w = a.T @ spd_solve(g, z)
+    macs = accounting.cholesky_solve_macs(n, k) + accounting.matmul_macs(d, n, k)
+    if intercept:
+        w = np.vstack([w, mean_z - mean_a @ w])
+        macs += accounting.matmul_macs(1, d, k)
+    accounting.add_macs("gram", accounting.matmul_macs(n, d, n))
+    accounting.add_macs("solve", macs)
+    accounting.note_matrices(a, z, g, w)
+    return w
+
+
 def fit_weights(acc, cfg=RidgeConfig(), penalty_diag=None):
     """Closed-form ridge weights from an accumulator.
 
-    ``penalty_diag`` is passed on to ``ridge_solve``. Raises ValueError on
-    an empty accumulator. With lam = 0 a rank-deficient Gram matrix
-    surfaces as NotPositiveDefiniteError from the solve.
+    While the accumulator still keeps its batches (fewer rows than inputs)
+    and lam > 0, the weights come from the n x n dual system; this needs a
+    ``penalty_diag`` that is all ones, or all ones but a final 0 on an
+    intercept column of ones. Otherwise the batches are folded and
+    ``ridge_solve``, which gets ``penalty_diag``, solves the d x d system;
+    so with lam = 0 a rank-deficient Gram matrix surfaces as
+    NotPositiveDefiniteError. Raises ValueError on an empty accumulator.
     """
     if acc.n_seen < 1:
         raise ValueError("accumulator has seen no samples")
+    pen = (np.ones(acc.in_dim) if penalty_diag is None
+           else np.asarray(penalty_diag, dtype=np.float64))
+    if (acc.kept and cfg.lam > 0 and pen.shape == (acc.in_dim,)
+            and np.all(pen[:-1] == 1.0) and pen[-1] in (0.0, 1.0)):
+        a, z = acc.stacked()
+        intercept = pen[-1] == 0.0
+        if not intercept or np.all(a[:, -1] == 1.0):
+            return _dual_solve(a, z, cfg.lam, cfg.tau, intercept)
     return ridge_solve(acc.ata, acc.atz, cfg.lam, tau=cfg.tau,
                        penalty_diag=penalty_diag)
 
@@ -231,6 +324,10 @@ def iterative_update(w, a_batch, ztil, eta, lam, penalty_diag=None):
     ``ridge_solve``. The 2/B factor is part of the objective's definition
     (mean squared error over the batch), kept explicit so step sizes
     transfer between batch sizes.
+
+    Raises DivergenceError when the batch's squared residual exceeds
+    DIVERGENCE_RATIO times that of zero weights, or the step leaves
+    non-finite weights.
     """
     w = as_matrix(w, "w")
     a = as_matrix(a_batch, "a_batch")
@@ -245,8 +342,16 @@ def iterative_update(w, a_batch, ztil, eta, lam, penalty_diag=None):
             raise ValueError("penalty_diag length must match w's rows")
         penalised = penalty_diag[:, None] * w
     resid = a @ w - z
+    loss, zero_loss = float(np.vdot(resid, resid)), float(np.vdot(z, z))
+    if zero_loss > 0 and not loss <= DIVERGENCE_RATIO * zero_loss:
+        raise DivergenceError(
+            f"batch loss {loss:.3g} is over {DIVERGENCE_RATIO:g} times that of "
+            f"zero weights ({zero_loss:.3g}); lower eta")
     grad = (2.0 / b) * (a.T @ resid) + (2.0 / b) * lam * penalised
     accounting.add_macs("gram",
                         accounting.matmul_macs(b, a.shape[1], w.shape[1])
                         + accounting.matmul_macs(a.shape[1], b, w.shape[1]))
-    return ensure_finite(w - eta * grad, "updated weights")
+    w = w - eta * grad
+    if not np.isfinite(w).all():
+        raise DivergenceError("updated weights are non-finite; lower eta")
+    return w

@@ -24,6 +24,10 @@ class NotPositiveDefiniteError(FpnetError):
         super().__init__(message)
 
 
+class DivergenceError(FpnetError):
+    """Iterative training diverged: a batch loss blew up or weights went non-finite."""
+
+
 class RankDeficientError(FpnetError):
     """A matrix required to have full row rank did not."""
 

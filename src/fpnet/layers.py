@@ -365,7 +365,9 @@ def fit_layer(spec, stream, q=None, u=None, mode="closed_form", targets=None):
                 if acc is None:
                     acc = GramAccumulator(rows.shape[1], width)
                 acc.update(rows, z)
-                accounting.note_matrices(acc.ata, acc.atz, q, u, rows, z)
+                # kept batches already count this batch's rows and targets
+                accounting.note_matrices(acc, q, u,
+                                         *(() if acc.kept else (rows, z)))
     if acc is None and w is None:
         raise ValueError("stream produced no batches")
     if not iterative:

@@ -13,6 +13,9 @@ from .errors import NotPositiveDefiniteError, RankDeficientError
 # Relative floor under which a squared Cholesky pivot counts as a failure.
 PIVOT_FLOOR = 1e-12
 
+# Rows of g compared per step of spd_solve's symmetry check.
+SYMMETRY_BLOCK_ROWS = 64
+
 # Singular values below DEFAULT_RANK_TOL * s_max do not count toward rank.
 DEFAULT_RANK_TOL = 1e-9
 
@@ -108,9 +111,13 @@ def spd_solve(g, b):
         raise ValueError(f"g must be square, got shape {g.shape}")
     if b.shape[0] != n:
         raise ValueError(f"b has {b.shape[0]} rows, expected {n}")
-    scale = np.max(np.abs(g))
-    if not np.allclose(g, g.T, atol=1e-8 * max(1.0, scale), rtol=0.0):
-        raise ValueError("g is not symmetric")
+    tol = 1e-8 * max(1.0, np.max(np.abs(g)))
+    # a block of rows at a time: allclose holds several temporaries the size
+    # of its inputs, which on a large g set the fit's peak memory
+    for i in range(0, n, SYMMETRY_BLOCK_ROWS):
+        rows = slice(i, i + SYMMETRY_BLOCK_ROWS)
+        if not np.allclose(g[rows], g[:, rows].T, atol=tol, rtol=0.0):
+            raise ValueError("g is not symmetric")
 
     try:
         # keep only the pivots, so the n x n factor is freed before the solve

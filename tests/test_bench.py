@@ -13,6 +13,7 @@ from fpnet.bench import (METHODS, bottleneck_sweep, derive_layer_seeds,
                          mlp_specs, rows_to_csv, run_benchmark)
 from fpnet.core import RidgeConfig, TargetGenSpec
 from fpnet.data import synthetic_gaussian_task
+from fpnet.errors import DivergenceError
 from fpnet.layers import IterativeConfig, LayerSpec, fit_network
 from fpnet.linalg import SeededRng
 
@@ -203,6 +204,26 @@ class TestHarness:
     def test_rows_to_csv_rejects_empty(self, tmp_path):
         with pytest.raises(ValueError):
             rows_to_csv([], tmp_path / "x.csv")
+
+
+class TestIterativeDivergence:
+    # unnormalised random-feature activations: the batch Hessian's top
+    # eigenvalue (about 3855) is above 2 / eta = 2000
+    MODE = IterativeConfig(eta=1e-3, epochs=2, batch=64)
+
+    def _task(self):
+        return synthetic_gaussian_task(700, 20, 4, 2.0, SeededRng(11))
+
+    def test_random_features_blowup_raises(self):
+        with pytest.raises(DivergenceError, match="batch loss"):
+            fit_method("random_features", mlp_specs([32, 16], seed=5),
+                       self._task(), mode=self.MODE)
+
+    @pytest.mark.parametrize("method", ["fp", "label_projection"])
+    def test_stable_methods_fit(self, method):
+        net = fit_method(method, mlp_specs([32, 16], seed=5), self._task(),
+                         mode=self.MODE)
+        assert np.max(np.abs(net.layers[-1].w)) < 1.0
 
 
 class TestTracedSignatures:

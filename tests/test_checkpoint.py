@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -181,6 +182,73 @@ class TestMalformedStructure:
                          + blob + payload)
         with pytest.raises(CheckpointFormatError):
             load_network(path)
+
+
+def _chain_net(dense_after_conv=False):
+    """conv2d -> conv2d -> global_avg_pool -> dense -> output on 1x8x8 images,
+    or conv2d -> dense -> output."""
+    x = SeededRng(79).standard_normal((30, 1, 8, 8))
+    ds = Dataset(x, one_hot(np.arange(30) % 3), ["a", "b", "c"])
+    conv0 = LayerSpec("conv2d", out_channels=4, kernel=(3, 3),
+                      activation="relu", target=TargetGenSpec(q_seed=1, u_seed=2))
+    dense = LayerSpec("dense", out_channels=5, activation="relu",
+                      target=TargetGenSpec(q_seed=5, u_seed=6))
+    if dense_after_conv:
+        specs = [conv0, dense, LayerSpec("output")]
+    else:
+        specs = [conv0,
+                 LayerSpec("conv2d", out_channels=6, kernel=(2, 2), stride=2,
+                           activation="relu",
+                           target=TargetGenSpec(q_seed=3, u_seed=4)),
+                 LayerSpec("global_avg_pool"), dense, LayerSpec("output")]
+    return fit_network(specs, ds), x
+
+
+# layer index -> {matrix: new shape}; shapes as fitted: conv w (9, 4) and
+# u (3, 4); conv w (16, 6); pool; dense w (6, 5), u (3, 5); output w (6, 3)
+BAD_SHAPES = {
+    "conv fan-in not a multiple of the kernel": (0, {"w": (10, 4), "q": (10, 4)}),
+    "conv fan-in not the previous channels": (1, {"w": (20, 6), "q": (20, 6)}),
+    "w columns not out_channels": (3, {"w": (6, 7), "q": (6, 7)}),
+    "q shaped unlike w": (3, {"q": (6, 4)}),
+    "u rows not label_dim": (3, {"u": (4, 5)}),
+    "u columns not out_channels": (0, {"u": (3, 5)}),
+    "dense fan-in not the pooled channels": (3, {"w": (7, 5), "q": (7, 5)}),
+    "empty dense weights": (3, {"w": (0, 5), "q": (0, 5)}),
+    "output columns not label_dim": (4, {"w": (6, 4)}),
+    "output fan-in not the dense width": (4, {"w": (8, 3)}),
+    "output with projections": (4, {"q": (6, 3)}),
+    "pool with weights": (2, {"w": (6, 6)}),
+}
+
+
+class TestShapeChain:
+    @pytest.mark.parametrize("case", sorted(BAD_SHAPES))
+    def test_rejected_as_format_error(self, tmp_path, case):
+        net, _ = _chain_net()
+        k, shapes = BAD_SHAPES[case]
+        net.layers[k] = dataclasses.replace(
+            net.layers[k], **{f: np.zeros(s) for f, s in shapes.items()})
+        path = tmp_path / "model.fpk"
+        save_network(net, path)
+        with pytest.raises(CheckpointFormatError, match=f"layer {k} "):
+            load_network(path)
+
+    @pytest.mark.parametrize("dense_after_conv", [False, True])
+    def test_fitted_chains_load(self, tmp_path, dense_after_conv):
+        net, x = _chain_net(dense_after_conv)
+        path = tmp_path / "model.fpk"
+        save_network(net, path)
+        assert np.array_equal(predict(load_network(path), x)[0],
+                              predict(net, x)[0])
+
+    def test_output_without_intercept_row_loads(self, tmp_path):
+        net, x = _chain_net()
+        out = net.layers[-1]
+        net.layers[-1] = dataclasses.replace(out, w=out.w[:-1].copy())
+        path = tmp_path / "model.fpk"
+        save_network(net, path)
+        assert load_network(path).layers[-1].w.shape == (5, 3)
 
 
 class TestFormatGuards:

@@ -68,6 +68,28 @@ class TestTrain:
         assert ((out1 / "metrics.csv").read_text()
                 == (out2 / "metrics.csv").read_text())
 
+    def test_fewshot_replay_from_resolved_config(self, tmp_path, monkeypatch):
+        # 40 rows under 64 inputs and 80 units: every layer solves the dual
+        import fpnet.core as core
+        dual_calls = []
+        solve = core._dual_solve
+        monkeypatch.setattr(core, "_dual_solve",
+                            lambda *a: dual_calls.append(1) or solve(*a))
+        cfg = _write_config(
+            tmp_path / "cfg.json",
+            data={"kind": "synthetic", "n": 40, "test_n": 30, "dim": 64,
+                  "classes": 4, "separation": 3.0, "data_seed": 2},
+            architecture=[{"kind": "dense", "out_channels": 80},
+                          {"kind": "dense", "out_channels": 80},
+                          {"kind": "output"}])
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["train", "--config", str(cfg), "--out", str(out1)]) == 0
+        assert len(dual_calls) == 3
+        assert main(["train", "--config", str(out1 / "resolved_config.json"),
+                     "--out", str(out2)]) == 0
+        assert ((out1 / "model.fpk").read_bytes()
+                == (out2 / "model.fpk").read_bytes())
+
     def test_seed_flag_overrides_and_is_materialised(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json", seed=3)
         out = tmp_path / "run"
@@ -145,6 +167,24 @@ class TestErrorPaths:
             lambda_output=0.0)
         assert main(["train", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 4
+
+
+    def test_iterative_divergence_is_numeric_error(self, tmp_path, capsys):
+        # unnormalised random features overshoot at eta 1e-3 and batch 64
+        cfg = _write_config(
+            tmp_path / "cfg.json", seed=5,
+            data={"kind": "synthetic", "n": 700, "test_n": 0, "dim": 20,
+                  "classes": 4, "separation": 2.0, "data_seed": 11},
+            architecture=[{"kind": "dense", "out_channels": 32},
+                          {"kind": "dense", "out_channels": 16},
+                          {"kind": "output"}],
+            mode={"name": "iterative", "eta": 1e-3, "epochs": 2,
+                  "batch": 64})
+        assert main(["train", "--config", str(cfg), "--out",
+                     str(tmp_path / "rf"), "--method", "random_features"]) == 4
+        assert "batch loss" in capsys.readouterr().err
+        assert main(["train", "--config", str(cfg), "--out",
+                     str(tmp_path / "fp")]) == 0
 
 
 class TestEval:

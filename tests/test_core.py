@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fpnet import accounting
 from fpnet.core import (GramAccumulator, RidgeConfig, TargetGenSpec,
                         fit_weights, generate_targets, iterative_update,
                         ridge_solve)
-from fpnet.errors import NotPositiveDefiniteError
+from fpnet.errors import DivergenceError, NotPositiveDefiniteError
 from fpnet.linalg import SeededRng, gaussian_matrix, rank_estimate
 
 
@@ -106,39 +107,6 @@ class TestGramAccumulator:
             acc.update(np.ones((2, 3)), np.ones((2, 1)))
 
 
-class TestGramMerge:
-    def test_merge_with_empty_is_identity(self):
-        acc = _acc_from(np.array([[1.0, 2.0]]), np.array([[3.0]]))
-        merged = acc.merge(GramAccumulator(2, 1))
-        assert_allclose(merged.ata, acc.ata)
-        assert_allclose(merged.atz, acc.atz)
-        assert merged.n_seen == acc.n_seen
-
-    def test_commutative(self):
-        rng = SeededRng(6)
-        a = _acc_from(rng.standard_normal((5, 3)), rng.standard_normal((5, 2)))
-        b = _acc_from(rng.standard_normal((9, 3)), rng.standard_normal((9, 2)))
-        ab, ba = a.merge(b), b.merge(a)
-        assert_allclose(ab.ata, ba.ata)
-        assert_allclose(ab.atz, ba.atz)
-        assert ab.n_seen == ba.n_seen
-
-    def test_four_shards_equal_sequential(self):
-        rng = SeededRng(14)
-        a = rng.standard_normal((100, 6))
-        z = rng.standard_normal((100, 2))
-        seq = _acc_from(a, z)
-        shards = [_acc_from(a[i::4], z[i::4]) for i in range(4)]
-        merged = shards[0].merge(shards[1]).merge(shards[2]).merge(shards[3])
-        assert np.max(np.abs(merged.ata - seq.ata)) <= 1e-10
-        assert np.max(np.abs(merged.atz - seq.atz)) <= 1e-10
-        assert merged.n_seen == 100
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            GramAccumulator(2, 1).merge(GramAccumulator(3, 1))
-
-
 class TestFitWeights:
     def test_identity_design_half(self):
         z = np.array([[2.0, -4.0], [6.0, 0.0]])
@@ -227,6 +195,118 @@ class TestFitWeights:
         assert rank_estimate(w_fp) > m_lab
 
 
+class TestDualSolve:
+    """Fewer rows than inputs: the weights come from the n x n dual system."""
+
+    def _rows(self, n=30, d=80, k=6, seed=61):
+        rng = SeededRng(seed)
+        return rng.standard_normal((n, d)), rng.standard_normal((n, k))
+
+    @staticmethod
+    def _rel(w, ref):
+        return np.linalg.norm(w - ref) / np.linalg.norm(ref)
+
+    def test_hidden_weights_equal_primal(self):
+        a, z = self._rows()
+        acc = _acc_from(a, z)
+        assert acc.kept
+        w = fit_weights(acc, RidgeConfig(lam=10.0))
+        assert acc.kept  # solved without forming the d x d sums
+        assert w.flags.c_contiguous
+        assert self._rel(w, ridge_solve(a.T @ a, a.T @ z, 10.0)) <= 1e-9
+
+    def test_intercept_weights_equal_primal(self):
+        a, z = self._rows()
+        a1 = np.hstack([a + 3.0, np.ones((a.shape[0], 1))])
+        pen = np.append(np.ones(a.shape[1]), 0.0)
+        w = fit_weights(_acc_from(a1, z), RidgeConfig(lam=3.0),
+                        penalty_diag=pen)
+        ref = ridge_solve(a1.T @ a1, a1.T @ z, 3.0, penalty_diag=pen)
+        assert w.shape == ref.shape and w.flags.c_contiguous
+        assert self._rel(w, ref) <= 1e-9
+
+    def test_tau_and_auto_rescale_act_on_the_dual_gram(self):
+        a, z = self._rows()
+        small = fit_weights(_acc_from(a, z), RidgeConfig(lam=1.0))
+        tau = fit_weights(_acc_from(a, z), RidgeConfig(lam=1.0, tau=1e-3))
+        assert self._rel(tau, small) <= 1e-9
+        scale = 1e8  # entries of a @ a.T blow past 1e12
+        big = fit_weights(_acc_from(a * scale, z),
+                          RidgeConfig(lam=scale ** 2))
+        assert self._rel(big * scale, small) <= 1e-6
+
+    def test_other_penalties_take_the_primal(self):
+        a, z = self._rows()
+        pen = np.linspace(0.5, 2.0, a.shape[1])
+        acc = _acc_from(a, z)
+        w = fit_weights(acc, RidgeConfig(lam=2.0), penalty_diag=pen)
+        assert not acc.kept
+        ref = ridge_solve(a.T @ a, a.T @ z, 2.0, penalty_diag=pen)
+        assert w.tobytes() == ref.tobytes()
+
+    def test_crossing_in_dim_mid_stream_is_the_in_order_sum(self):
+        rng = SeededRng(67)
+        a = rng.standard_normal((100, 40))
+        z = rng.standard_normal((100, 3))
+        acc = GramAccumulator(40, 3)
+        ata, atz = np.zeros((40, 40)), np.zeros((40, 3))
+        with accounting.track() as ledger:
+            for s in range(0, 100, 7):  # five batches kept, folded at 42
+                acc.update(a[s:s + 7], z[s:s + 7])
+                ata += a[s:s + 7].T @ a[s:s + 7]
+                atz += a[s:s + 7].T @ z[s:s + 7]
+                assert bool(acc.kept) == (acc.n_seen < 40)
+        assert ledger.macs["gram"] == 100 * 40 * 40 + 100 * 40 * 3
+        assert acc.ata.tobytes() == ata.tobytes()
+        assert acc.atz.tobytes() == atz.tobytes()
+        w = fit_weights(acc, RidgeConfig(lam=10.0))
+        assert w.tobytes() == ridge_solve(ata, atz, 10.0).tobytes()
+
+    def test_reading_the_sums_folds_kept_batches(self):
+        a, z = self._rows(n=12, d=20, k=2)
+        acc = GramAccumulator(20, 2)
+        with accounting.track() as ledger:
+            acc.update(a[:5], z[:5])
+            acc.update(a[5:], z[5:])
+            assert ledger.macs["gram"] == 0
+            assert_allclose(acc.ata, a.T @ a, atol=1e-12)
+        assert not acc.kept
+        assert ledger.macs["gram"] == 12 * 20 * 20 + 12 * 20 * 2
+        assert_allclose(acc.atz, a.T @ z, atol=1e-12)
+
+    def test_lambda_zero_with_fewer_rows_raises(self):
+        a, z = self._rows()
+        acc = _acc_from(a, z)
+        with pytest.raises(NotPositiveDefiniteError):
+            fit_weights(acc, RidgeConfig(lam=0.0))
+        assert not acc.kept
+
+    def test_dual_macs_exact(self):
+        n, d, k = 30, 80, 6
+        a, z = self._rows(n, d, k)
+        with accounting.track() as ledger:
+            fit_weights(_acc_from(a, z), RidgeConfig(lam=10.0))
+        assert ledger.macs["gram"] == n * d * n
+        assert ledger.macs["solve"] == n ** 3 // 6 + n * n * k + d * n * k
+        a1 = np.hstack([a, np.ones((n, 1))])
+        with accounting.track() as ledger:
+            fit_weights(_acc_from(a1, z), RidgeConfig(lam=1.0),
+                        penalty_diag=np.append(np.ones(d), 0.0))
+        assert ledger.macs["gram"] == n * d * n
+        assert ledger.macs["solve"] == (n ** 3 // 6 + n * n * k + d * n * k
+                                        + d * k)
+
+    def test_kept_rows_never_outweigh_the_sums(self):
+        rng = SeededRng(71)
+        acc = GramAccumulator(64, 8)
+        sums = (64 * 64 + 64 * 8) * 8
+        for _ in range(12):
+            acc.update(rng.standard_normal((7, 64)),
+                       rng.standard_normal((7, 8)))
+            assert acc.nbytes <= sums
+        assert not acc.kept and acc.nbytes == sums
+
+
 class TestRidgeSolve:
     def test_penalty_diag_skips_intercept(self):
         # with a zeroed penalty entry the corresponding row is unregularised
@@ -269,3 +349,18 @@ class TestIterativeUpdate:
         with pytest.raises(ValueError):
             iterative_update(np.ones((2, 1)), np.ones((3, 3)), np.ones((3, 1)),
                              eta=0.1, lam=0.0)
+
+    def test_loss_blowup_is_divergence(self):
+        # a residual 10^4 times the targets: loss 10^8 times zero weights'
+        a = np.eye(2)
+        z = np.ones((2, 1))
+        w = iterative_update(1e2 * z, a, z, eta=0.1, lam=0.0)
+        assert np.isfinite(w).all()
+        with pytest.raises(DivergenceError, match="batch loss"):
+            iterative_update(1e4 * z, a, z, eta=0.1, lam=0.0)
+
+    def test_non_finite_step_is_divergence(self):
+        with np.errstate(over="ignore"), \
+                pytest.raises(DivergenceError, match="non-finite"):
+            iterative_update(np.ones((1, 1)), np.array([[1e200]]),
+                             np.array([[0.0]]), eta=1.0, lam=0.0)

@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 
 import fpnet.layers as layers_mod
 from fpnet import accounting
-from fpnet.core import RidgeConfig, TargetGenSpec, generate_targets
+from fpnet.core import (RidgeConfig, TargetGenSpec, generate_targets,
+                        ridge_solve)
 from fpnet.data import Dataset, one_hot
 from fpnet.layers import (INFERENCE_BUDGET_BYTES, IterativeConfig, LayerSpec,
                           Network, TrainedLayer, activate, extract_windows,
@@ -165,6 +166,17 @@ class TestFitLayer:
         ref = np.maximum(windows @ dense_layer.w, 0.0).reshape(2, 2, 2, 6)
         assert_allclose(out, np.moveaxis(ref, -1, 1), rtol=1e-9, atol=1e-12)
 
+    def test_few_rows_hidden_matches_primal_ridge(self):
+        # 20 rows of width 60 take the dual path
+        rng = SeededRng(29)
+        x = rng.standard_normal((20, 60))
+        y = one_hot(np.arange(20) % 3)
+        spec = _dense_spec(40, g="sign", lam=10.0)
+        layer = fit_layer(spec, make_batches(x, y, 8))
+        z = generate_targets(x, y, layer.q, layer.u, spec.target)
+        ref = ridge_solve(x.T @ x, x.T @ z, 10.0)
+        assert np.linalg.norm(layer.w - ref) / np.linalg.norm(ref) <= 1e-9
+
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
             fit_layer(_dense_spec(3), [])
@@ -197,6 +209,17 @@ class TestOutputLayerFit:
         ref = np.linalg.solve(a1.T @ a1 + lam * penalty, a1.T @ y)
         assert layer.q is None and layer.u is None
         assert_allclose(layer.w, ref, rtol=1e-10, atol=1e-12)
+
+    def test_few_rows_output_matches_intercept_ridge(self):
+        # 30 rows of width 50 take the dual path
+        x, y = self._task(n=30, d=50, k=3)
+        lam = 2.0
+        layer = fit_layer(LayerSpec("output", ridge=RidgeConfig(lam=lam)),
+                          make_batches(x + 1.5, y, 8))
+        a1 = np.hstack([x + 1.5, np.ones((x.shape[0], 1))])
+        penalty = np.diag([1.0] * 50 + [0.0])
+        ref = np.linalg.solve(a1.T @ a1 + lam * penalty, a1.T @ y)
+        assert np.linalg.norm(layer.w - ref) / np.linalg.norm(ref) <= 1e-9
 
     def test_iterative_output_steps_leave_intercept_unpenalised(self):
         x, y = self._task(n=40, d=4, k=2)

@@ -76,6 +76,17 @@ class TestSpdSolve:
         with pytest.raises(ValueError):
             spd_solve(g, np.ones((2, 1)))
 
+    @pytest.mark.parametrize("i, j", [(150, 3), (3, 150), (199, 198)])
+    def test_asymmetry_in_any_row_block_rejected(self, i, j):
+        # 200 rows span several blocks of the check; the tolerance scales
+        # with the largest entry, 200
+        g = 200.0 * np.eye(200)
+        g[i, j] = 1e-3
+        with pytest.raises(ValueError, match="not symmetric"):
+            spd_solve(g, np.ones((200, 1)))
+        g[j, i] = 1e-3 + 1e-7
+        assert spd_solve(g, np.ones((200, 1))).shape == (200, 1)
+
     def test_indefinite_reports_pivot(self):
         g = np.diag([1.0, -1.0])
         with pytest.raises(NotPositiveDefiniteError) as err:
