@@ -22,7 +22,8 @@ from .accounting import CostLedger, PHASES
 from .bench import (METHODS, bottleneck_sweep, derive_layer_seeds,
                     fewshot_sweep, fit_method, rows_to_csv, run_benchmark)
 from .checkpoint import load_network, save_network
-from .core import RidgeConfig, TargetGenSpec, TARGET_NONLINEARITIES
+from .core import (HIDDEN_LAMBDA, OUTPUT_LAMBDA, RidgeConfig, TargetGenSpec,
+                   TARGET_NONLINEARITIES)
 from .data import (Dataset, load_idx, read_idx_images, synthetic_gaussian_task,
                    PIXEL_SCALE)
 from .errors import (CheckpointFormatError, ConfigError, DataConsistencyError,
@@ -70,16 +71,16 @@ def resolve_config(cfg, args):
     out = dict(cfg)
     out["seed"] = int(args.seed if args.seed is not None
                       else out.get("seed", 0))
-    out["target_g"] = out.get("target_g", "sign")
+    out["target_g"] = out.get("target_g", TargetGenSpec.g)
     if out["target_g"] not in TARGET_NONLINEARITIES:
         raise ConfigError(f"target_g must be one of {TARGET_NONLINEARITIES}")
-    out["alpha"] = float(out.get("alpha", 0.0))
+    out["alpha"] = float(out.get("alpha", TargetGenSpec.alpha))
     out["lambda_hidden"] = float(args.lambda_hidden
                                  if args.lambda_hidden is not None
-                                 else out.get("lambda_hidden", 10.0))
+                                 else out.get("lambda_hidden", HIDDEN_LAMBDA))
     out["lambda_output"] = float(args.lambda_output
                                  if args.lambda_output is not None
-                                 else out.get("lambda_output", 1.0))
+                                 else out.get("lambda_output", OUTPUT_LAMBDA))
     out["batch_size"] = int(out.get("batch_size", 256))
     out["out"] = args.out if args.out is not None else out.get("out", "fp_run")
 
@@ -92,9 +93,10 @@ def resolve_config(cfg, args):
     if mode["name"] not in ("closed_form", "iterative"):
         raise ConfigError(f"unknown mode {mode['name']!r}")
     if mode["name"] == "iterative":
-        mode = {"name": "iterative", "eta": float(mode.get("eta", 1e-3)),
-                "epochs": int(mode.get("epochs", 5)),
-                "batch": int(mode.get("batch", 128))}
+        mode = {"name": "iterative",
+                "eta": float(mode.get("eta", IterativeConfig.eta)),
+                "epochs": int(mode.get("epochs", IterativeConfig.epochs)),
+                "batch": int(mode.get("batch", IterativeConfig.batch))}
     out["mode"] = mode
 
     data = dict(out.get("data", {}))

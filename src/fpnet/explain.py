@@ -101,6 +101,15 @@ def _inverse_pair(target):
     return lambda v: v
 
 
+def _decode(layer, z, known, proj, pinv):
+    """g_inv(z - g(known @ proj) - alpha) @ pinv, a row per row of ``known``:
+    per sample, or per window position of a conv layer's (N, m, *spatial') z."""
+    target = layer.spec.target
+    z_rows = np.moveaxis(z, 1, -1).reshape(known.shape[0], proj.shape[1])
+    g_known = apply_g(target.g, known @ proj, in_place=True)
+    return _inverse_pair(target)(z_rows - g_known - target.alpha) @ pinv
+
+
 def explain_layer(layer, a_prev, z, origin=None, layer_index=0):
     """Map one layer's potentials to per-class evidence.
 
@@ -113,19 +122,18 @@ def explain_layer(layer, a_prev, z, origin=None, layer_index=0):
     Returns an ExplanationMap whose trailing axis indexes classes.
     """
     spec = layer.spec
-    g_inv = _inverse_pair(spec.target)
+    _inverse_pair(spec.target)  # an unsupported g fails before any work
     if layer.q is None or layer.u is None:
         raise ValueError("layer is missing its target projections")
     u_pinv = pseudo_inverse_rows(layer.u)
-    alpha = spec.target.alpha
 
     if spec.kind == "dense":
         a = _flatten(a_prev)
         z = as_matrix(z, "z")
         if z.shape != (a.shape[0], layer.q.shape[1]):
             raise ValueError(f"potentials shaped {z.shape} do not match layer")
-        yhat = g_inv(z - apply_g(spec.target.g, a @ layer.q) - alpha) @ u_pinv
-        return ExplanationMap(layer_index, yhat, origin=None)
+        return ExplanationMap(layer_index, _decode(layer, z, a, layer.q, u_pinv),
+                              origin=None)
 
     if spec.kind in ("conv1d", "conv2d"):
         x = np.asarray(a_prev, dtype=np.float64)
@@ -135,8 +143,7 @@ def explain_layer(layer, a_prev, z, origin=None, layer_index=0):
         want = (x.shape[0], layer.q.shape[1], *out_spatial)
         if z.shape != want:
             raise ValueError(f"potentials shaped {z.shape}, expected {want}")
-        z_rows = np.moveaxis(z, 1, -1).reshape(rows.shape[0], layer.q.shape[1])
-        yhat = g_inv(z_rows - apply_g(spec.target.g, rows @ layer.q) - alpha) @ u_pinv
+        yhat = _decode(layer, z, rows, layer.q, u_pinv)
         values = yhat.reshape(x.shape[0], *out_spatial, u_pinv.shape[1])
         if origin is None:
             origin = identity_origin(len(out_spatial))
@@ -182,27 +189,25 @@ def reconstruct_input(layer, z, y):
     (N, C, *spatial) tensor (cells no window covers are left at zero).
     """
     spec = layer.spec
-    g_inv = _inverse_pair(spec.target)
+    _inverse_pair(spec.target)  # an unsupported g fails before any work
     if layer.q is None or layer.u is None:
         raise ValueError("layer is missing its target projections")
     q_pinv = pseudo_inverse_rows(layer.q)
     y = as_matrix(y, "y")
-    alpha = spec.target.alpha
 
     if spec.kind == "dense":
         z = as_matrix(z, "z")
         if z.shape[0] != y.shape[0]:
             raise ValueError("z and y disagree on sample count")
-        return g_inv(z - apply_g(spec.target.g, y @ layer.u) - alpha) @ q_pinv
+        return _decode(layer, z, y, layer.u, q_pinv)
 
     if spec.kind in ("conv1d", "conv2d"):
         z = np.asarray(z, dtype=np.float64)
-        n, m = z.shape[0], layer.q.shape[1]
+        n = z.shape[0]
         out_spatial = z.shape[2:]
         positions = int(np.prod(out_spatial)) if out_spatial else 1
-        z_rows = np.moveaxis(z, 1, -1).reshape(n * positions, m)
         y_rows = np.repeat(y, positions, axis=0)
-        rows = g_inv(z_rows - apply_g(spec.target.g, y_rows @ layer.u) - alpha) @ q_pinv
+        rows = _decode(layer, z, y_rows, layer.u, q_pinv)
         channels = layer.q.shape[0] // int(np.prod(spec.kernel))
         spatial = tuple((p - 1) * spec.stride + k
                         for p, k in zip(out_spatial, spec.kernel))

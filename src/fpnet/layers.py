@@ -23,33 +23,40 @@ from . import accounting
 from .core import (HIDDEN_LAMBDA, OUTPUT_LAMBDA, GramAccumulator, RidgeConfig,
                    TargetGenSpec, fit_weights, generate_targets,
                    iterative_update)
-from .linalg import SeededRng, as_matrix, gaussian_matrix
+from .linalg import SeededRng, as_matrix, gaussian_matrix, sign_in_place
 
 LAYER_KINDS = ("dense", "conv1d", "conv2d", "global_avg_pool", "output")
 ACTIVATIONS = ("relu", "sign", "tanh", "identity", "mod2", "square")
 
-# Working set that inference aims for: rows per batch are this divided by the
-# bytes per sample of the widest intermediate. On the 28x28 conv benchmark net
-# (about 60 images a batch) predict runs no slower than as one full batch; and
-# dense splits of 2000 rows of width 1000, which fixed 256-row batches slowed,
-# stay a single batch.
+# Working set that inference and closed-form fitting aim for: rows per batch
+# are this (for fitting, at most the bytes of the largest Gram matrix) divided
+# by the bytes per sample of the widest intermediate. On the 28x28 conv
+# benchmark net (about 60 images a batch) predict runs no slower than as one
+# full batch; dense splits of 2000 rows of width 1000, which fixed 256-row
+# batches slowed, stay a single batch; and a 784 -> 1000 x 3 fit streams 1001
+# rows a batch, whose Gram and target products run faster than 256-row ones.
 INFERENCE_BUDGET_BYTES = 16 * 2**20
 
 
-def activate(kind, z):
-    """Element-wise activation. sign maps 0 to exactly 0; mod2 wraps into [0, 2)."""
+def activate(kind, z, in_place=False):
+    """Element-wise activation. sign maps 0 to exactly 0; mod2 wraps into [0, 2).
+
+    ``z`` is left unchanged unless ``in_place``, which overwrites a float
+    array with its activation.
+    """
+    out = z if in_place else None
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if kind == "sign":
-        return np.sign(z)
+        return sign_in_place(z) if in_place else np.sign(z)
     if kind == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     if kind == "identity":
         return z
     if kind == "mod2":
-        return np.mod(z, 2.0)
+        return np.mod(z, 2.0, out=out)
     if kind == "square":
-        return np.square(z)
+        return np.square(z, out=out)
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -230,7 +237,8 @@ def forward(layer, x):
     """Apply one trained layer to a batch."""
     spec = layer.spec
     if spec.kind in ("dense", "conv1d", "conv2d"):
-        return activate(spec.activation, potentials(layer, x))
+        # potentials are fresh, so no caller sees them overwritten
+        return activate(spec.activation, potentials(layer, x), in_place=True)
     if spec.kind == "global_avg_pool":
         x = np.asarray(x, dtype=np.float64)
         if x.ndim < 3:
@@ -368,6 +376,8 @@ def fit_layer(spec, stream, q=None, u=None, mode="closed_form", targets=None):
                 # kept batches already count this batch's rows and targets
                 accounting.note_matrices(acc, q, u,
                                          *(() if acc.kept else (rows, z)))
+            # let this batch go before the stream builds the next one
+            del x_batch, y_batch, rows, y_rows, z
     if acc is None and w is None:
         raise ValueError("stream produced no batches")
     if not iterative:
@@ -411,6 +421,12 @@ def fit_network(specs, dataset, mode="closed_form", batch_size=256,
     dataset : anything with .x / .y / .class_names, or an (x, y) pair.
     mode : "closed_form" or an IterativeConfig, whose batch size then
         replaces ``batch_size``.
+    batch_size : the fewest rows a closed-form fit streams per batch.
+        Batches of narrow rows grow until their widest intermediate (as
+        ``inference_batch_rows`` sizes it) fills INFERENCE_BUDGET_BYTES or
+        the largest Gram matrix the fit holds, whichever is smaller. The
+        Gram sums, and so the weights up to rounding, do not depend on
+        where batches end, and the products run faster on taller batches.
     targets : the hidden layers' target source, as in ``fit_layer``;
         Forward Projection's ``generate_targets`` by default.
     """
@@ -418,9 +434,20 @@ def fit_network(specs, dataset, mode="closed_form", batch_size=256,
     kinds = [s.kind for s in specs]
     if kinds.count("output") != 1 or kinds[-1] != "output":
         raise ValueError("specs must contain exactly one output layer, last")
-    if _is_iterative(mode):
-        batch_size = mode.batch
+    iterative = _is_iterative(mode)
     x, y, class_names = _dataset_xy(dataset)
+    if iterative:
+        batch_size = mode.batch
+    else:
+        widths = _sample_widths(
+            ((s, None, y.shape[1] if s.kind == "output" else s.out_channels)
+             for s in specs), x.shape[1:])
+        if widths is not None:
+            widest, gram = widths
+            # the Gram sums do not grow with n; a batch no larger than them
+            # keeps the fit's memory a fixed multiple of them
+            budget = min(INFERENCE_BUDGET_BYTES, 8 * gram * gram)
+            batch_size = max(batch_size, budget // (8 * widest))
     raw = make_batches(x, y, batch_size)
     if not class_names:
         class_names = [str(i) for i in range(y.shape[1])]
@@ -441,6 +468,51 @@ def fit_network(specs, dataset, mode="closed_form", batch_size=256,
     return Network(trained, label_dim=y.shape[1], class_names=class_names)
 
 
+def _sample_widths(steps, sample_shape):
+    """Widths that ``steps`` reach from one sample shaped ``sample_shape``.
+
+    steps : (spec, in_width, out_width) per layer, the widths those of the
+        layer's weight matrix; an in_width of None is taken from the shape
+        that reaches the layer. Pooling layers ignore both widths.
+
+    Returns (widest, gram): the floats of the widest intermediate built, a
+    conv layer's window matrix or output or the activations of a dense or
+    output layer, and the largest in_width, the side of the largest Gram
+    matrix a fit accumulates. None when the shapes do not chain or no layer
+    has weights.
+    """
+    shape, widest, gram = tuple(sample_shape), 0, 0
+    for spec, w_in, w_out in steps:
+        kind = spec.kind
+        if kind == "global_avg_pool":
+            if len(shape) < 2:
+                return None
+            shape = shape[:1]
+            continue
+        if kind in ("conv1d", "conv2d"):
+            kernel = spec.kernel
+            if (len(shape) != len(kernel) + 1
+                    or any(k > s for k, s in zip(kernel, shape[1:]))):
+                return None
+            width = shape[0] * math.prod(kernel)
+            spatial = conv_output_shape(shape[1:], kernel, spec.stride)
+            positions = math.prod(spatial)
+            built = positions * max(width, w_out)
+            shape = (w_out, *spatial)
+        else:
+            # the output layer appends its intercept column itself, unless
+            # its input already carries one
+            width = math.prod(shape)
+            if kind == "output" and w_in != width:
+                width += 1
+            built = max(width, w_out)
+            shape = (w_out,)
+        if w_in not in (None, width):
+            return None
+        widest, gram = max(widest, built), max(gram, width)
+    return (widest, gram) if widest else None
+
+
 def inference_batch_rows(layers, sample_shape):
     """Rows per batch that keep inference through ``layers`` within
     INFERENCE_BUDGET_BYTES, at least 1.
@@ -450,38 +522,18 @@ def inference_batch_rows(layers, sample_shape):
     conv layer, the activations of a dense or output layer. None when a
     layer cannot be sized (no weights, or shapes that do not chain).
     """
-    shape, widest = tuple(sample_shape), 0
+    steps = []
     for tl in layers:
-        kind, w = tl.spec.kind, tl.w
-        if kind == "global_avg_pool":
-            if len(shape) < 2:
-                return None
-            shape = shape[:1]
-            continue
-        if not isinstance(w, np.ndarray) or w.ndim != 2:
-            return None
-        if kind in ("conv1d", "conv2d"):
-            kernel = tl.spec.kernel
-            if (len(shape) != len(kernel) + 1
-                    or shape[0] * math.prod(kernel) != w.shape[0]
-                    or any(k > s for k, s in zip(kernel, shape[1:]))):
-                return None
-            spatial = conv_output_shape(shape[1:], kernel, tl.spec.stride)
-            positions = math.prod(spatial)
-            widest = max(widest, positions * w.shape[0],
-                         positions * w.shape[1])
-            shape = (w.shape[1], *spatial)
+        if tl.spec.kind == "global_avg_pool":
+            steps.append((tl.spec, None, None))
+        elif isinstance(tl.w, np.ndarray) and tl.w.ndim == 2:
+            steps.append((tl.spec, *tl.w.shape))
         else:
-            # the output layer may append its intercept column itself
-            widths = ((w.shape[0], w.shape[0] - 1) if kind == "output"
-                      else (w.shape[0],))
-            if math.prod(shape) not in widths:
-                return None
-            widest = max(widest, w.shape[0], w.shape[1])
-            shape = (w.shape[1],)
-    if not widest:
+            return None
+    widths = _sample_widths(steps, sample_shape)
+    if widths is None:
         return None
-    return max(1, INFERENCE_BUDGET_BYTES // (8 * widest))
+    return max(1, INFERENCE_BUDGET_BYTES // (8 * widths[0]))
 
 
 def _forward_all(layers, x):

@@ -6,6 +6,8 @@ per-implementation: the same seed always reproduces the same draws within
 this package, but no bit-level agreement with other libraries is promised.
 """
 
+import math
+
 import numpy as np
 
 from .errors import NotPositiveDefiniteError, RankDeficientError
@@ -18,6 +20,9 @@ SYMMETRY_BLOCK_ROWS = 64
 
 # Singular values below DEFAULT_RANK_TOL * s_max do not count toward rank.
 DEFAULT_RANK_TOL = 1e-9
+
+# Floats per step of sign_in_place (512 KiB of float64).
+SIGN_BLOCK_FLOATS = 2**16
 
 
 def as_matrix(a, name="matrix"):
@@ -78,6 +83,21 @@ def gaussian_matrix(rows, cols, rng):
     if rows < 1 or cols < 1:
         raise ValueError(f"dimensions must be positive, got {rows}x{cols}")
     return rng.standard_normal((rows, cols))
+
+
+def sign_in_place(x):
+    """Overwrite the array ``x`` with np.sign(x) and return it.
+
+    numpy's sign with out=x skips its vector loop and runs about four times
+    slower than its sign into another array, so blocks of rows go through a
+    small buffer instead.
+    """
+    step = max(1, SIGN_BLOCK_FLOATS // max(1, math.prod(x.shape[1:])))
+    buf = np.empty((min(step, x.shape[0]), *x.shape[1:]), dtype=x.dtype)
+    for i in range(0, x.shape[0], step):
+        block = x[i:i + step]
+        block[...] = np.sign(block, out=buf[:len(block)])
+    return x
 
 
 def spd_solve(g, b):

@@ -512,6 +512,131 @@ class TestBatchedInference:
         assert abs(peaks[1] - peaks[0]) / peaks[0] < 0.05
 
 
+class _BatchSeen(Exception):
+    pass
+
+
+def _fit_batch_size(monkeypatch, specs, x, y, **kwargs):
+    """Rows per batch that fit_network asks make_batches for; nothing is fit."""
+
+    def record(x, y, batch_size):
+        raise _BatchSeen(batch_size)
+
+    monkeypatch.setattr(layers_mod, "make_batches", record)
+    with pytest.raises(_BatchSeen) as seen:
+        fit_network(specs, (x, y), **kwargs)
+    return seen.value.args[0]
+
+
+class TestFitBatches:
+    def _dense(self, n=40, d=30, labels=4):
+        rng = SeededRng(21)
+        return ([_dense_spec(64, activation="relu"), LayerSpec("output")],
+                rng.standard_normal((n, d)), one_hot(np.arange(n) % labels))
+
+    def test_dense_batches_grow_to_the_gram_or_budget(self, monkeypatch):
+        # widest intermediate: the output layer's 64 inputs plus intercept,
+        # which is also the side of the largest Gram matrix
+        specs, x, y = self._dense()
+        assert _fit_batch_size(monkeypatch, specs, x, y, batch_size=16) == 65
+        assert _fit_batch_size(monkeypatch, specs, x, y, batch_size=100) == 100
+        monkeypatch.setattr(layers_mod, "INFERENCE_BUDGET_BYTES", 8 * 65 * 20)
+        assert _fit_batch_size(monkeypatch, specs, x, y, batch_size=16) == 20
+
+    def test_conv_windows_over_budget_keep_batch_size(self, monkeypatch):
+        specs = [LayerSpec("conv2d", 32, (5, 5), 1, "relu", TargetGenSpec()),
+                 LayerSpec("conv2d", 64, (3, 3), 2, "relu", TargetGenSpec()),
+                 LayerSpec("global_avg_pool"), LayerSpec("output")]
+        x, y = np.zeros((4, 1, 28, 28)), one_hot(np.arange(4) % 2)
+        assert 8 * 11 * 11 * 32 * 9 * 256 > INFERENCE_BUDGET_BYTES
+        assert _fit_batch_size(monkeypatch, specs, x, y, batch_size=256) == 256
+
+    def test_iterative_keeps_mode_batch(self, monkeypatch):
+        specs, x, y = self._dense()
+        mode = IterativeConfig(batch=7)
+        assert _fit_batch_size(monkeypatch, specs, x, y, mode=mode,
+                               batch_size=16) == 7
+
+    def test_grown_batches_match_fixed_stream(self):
+        rng = SeededRng(22)
+        x = rng.standard_normal((1500, 50))
+        y = one_hot(np.arange(1500) % 5)
+        specs = [_dense_spec(300, activation="relu", g="sign"),
+                 LayerSpec("output")]
+        net = fit_network(specs, (x, y), batch_size=256)  # 301-row batches
+        hidden = fit_layer(specs[0], make_batches(x, y, 256))
+        h = forward(hidden, x)
+        out = fit_layer(specs[1], make_batches(h, y, 256))
+        for got, ref in zip(net.layers, (hidden, out)):
+            rel = np.linalg.norm(got.w - ref.w) / np.linalg.norm(ref.w)
+            assert rel <= 1e-8
+
+    def test_conv_fit_holds_one_batch_at_a_time(self):
+        # a 64-image batch of 24x24 windows: 25 inputs and 24 targets a row
+        b, width, out = 64, 25, 24
+        x = SeededRng(12).standard_normal((4 * b, 1, 28, 28))
+        y = one_hot(np.arange(4 * b) % 2)
+        spec = LayerSpec("conv2d", out, (5, 5), 1, "relu",
+                         TargetGenSpec(q_seed=1, u_seed=2))
+        tracemalloc.start()
+        try:
+            fit_layer(spec, make_batches(x, y, b))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        two_batches = 2 * 8 * b * 24 * 24 * (width + out)
+        assert peak < two_batches
+
+
+class TestInputsUnchanged:
+    @pytest.mark.parametrize("kind", ["relu", "sign", "tanh", "identity",
+                                      "mod2", "square"])
+    def test_activate(self, kind):
+        z = SeededRng(30).standard_normal((5, 4))
+        before = z.copy()
+        activate(kind, z)
+        assert np.array_equal(z, before)
+
+    @pytest.mark.parametrize("kind", ["relu", "sign", "tanh", "identity",
+                                      "mod2", "square"])
+    def test_forward_activation_values(self, kind):
+        rng = SeededRng(33)
+        x, w = rng.standard_normal((7, 5)), rng.standard_normal((5, 4))
+        before = x.copy()
+        out = forward(TrainedLayer(LayerSpec("dense", 4, activation=kind),
+                                   w=w), x)
+        assert np.array_equal(x, before)
+        assert out.tobytes() == activate(kind, x @ w).tobytes()
+
+    @pytest.mark.parametrize("make_net, shape", [
+        (_dense_net, (6, 30)), (_conv_net, (3, 1, 28, 28))],
+        ids=["dense", "conv"])
+    def test_forward(self, make_net, shape):
+        x = SeededRng(31).standard_normal(shape)
+        before = x.copy()
+        a = x
+        for tl in make_net().layers:
+            a_before = a.copy()
+            out = forward(tl, a)
+            assert np.array_equal(a, a_before)
+            a = out
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("g, alpha", [("sign", 0.0), ("identity", 0.5),
+                                          ("tanh", 0.0)])
+    def test_generate_targets(self, g, alpha):
+        rng = SeededRng(32)
+        a, q, u = (rng.standard_normal(s) for s in ((9, 6), (6, 5), (3, 5)))
+        y = one_hot(np.arange(9) % 3)
+        inputs = (a, y, q, u)
+        before = [m.copy() for m in inputs]
+        z = generate_targets(*inputs, TargetGenSpec(g=g, alpha=alpha))
+        for m, ref in zip(inputs, before):
+            assert np.array_equal(m, ref)
+        expect = {"sign": np.sign, "identity": lambda v: v, "tanh": np.tanh}[g]
+        assert np.array_equal(z, expect(a @ q) + expect(y @ u) + alpha)
+
+
 @pytest.mark.fmnist
 class TestImageBenchmarkLayer:
     def test_first_hidden_layer_local_residual(self, fmnist):

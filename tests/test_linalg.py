@@ -8,8 +8,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fpnet.errors import NotPositiveDefiniteError, RankDeficientError
-from fpnet.linalg import (SeededRng, gaussian_matrix, pseudo_inverse_rows,
-                          rank_estimate, spd_solve)
+from fpnet.linalg import (SIGN_BLOCK_FLOATS, SeededRng, gaussian_matrix,
+                          pseudo_inverse_rows, rank_estimate, sign_in_place,
+                          spd_solve)
 
 
 class TestGaussianMatrix:
@@ -152,6 +153,26 @@ class TestSpdSolve:
                               capture_output=True, text=True, cwd=tmp_path,
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+class TestSignInPlace:
+    @pytest.mark.parametrize("shape", [
+        (7,), (SIGN_BLOCK_FLOATS + 3,), (1001, 300), (5, 3, 4, 4),
+        (3, SIGN_BLOCK_FLOATS + 1)])
+    def test_bytes_of_np_sign_over_block_edges(self, shape):
+        x = SeededRng(40).standard_normal(shape)
+        x.flat[:3] = [0.0, -0.0, np.nan]
+        ref = np.sign(x)
+        assert sign_in_place(x) is x
+        assert x.tobytes() == ref.tobytes()
+
+    def test_writes_through_a_strided_view(self):
+        base = SeededRng(41).standard_normal((6, 9, 5))
+        view = np.moveaxis(base, -1, 1)
+        ref = np.sign(view)
+        sign_in_place(view)
+        assert np.array_equal(view, ref)
+        assert np.array_equal(base, np.moveaxis(ref, 1, -1))
 
 
 class TestPseudoInverseRows:
