@@ -11,7 +11,9 @@ Exit codes: 0 success, 2 config or usage error, 3 data format error,
 """
 
 import argparse
+import inspect
 import json
+import math
 import os
 import sys
 
@@ -32,7 +34,7 @@ from .errors import (CheckpointFormatError, ConfigError, DataConsistencyError,
                      UndefinedMetricError, UnsupportedNonlinearityError)
 from .explain import explain_layer, input_origin, render_map, write_map_csv, write_map_pgm
 from .layers import (ACTIVATIONS, IterativeConfig, LayerSpec, Network,
-                     network_forward, potentials, predict)
+                     fit_network, network_forward, potentials, predict)
 from .linalg import SeededRng
 from .metrics import metric_report
 
@@ -44,12 +46,37 @@ DATA_KEYS = {"kind", "train_images", "train_labels", "test_images",
 LAYER_KEYS = {"kind", "out_channels", "kernel", "stride", "activation",
               "g", "alpha", "q_seed", "u_seed", "lam", "tau"}
 MODE_KEYS = {"name", "eta", "epochs", "batch"}
+LAYER_NUMBERS = {"out_channels": int, "stride": int, "q_seed": int,
+                 "u_seed": int, "alpha": float, "lam": float, "tau": float}
+BATCH_SIZE = inspect.signature(fit_network).parameters["batch_size"].default
 
 
 def _check_keys(d, allowed, where):
     for key in d:
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} in {where}")
+
+
+def _number(value, kind, where, minimum=None):
+    """``value`` as a finite ``kind`` (int or float), at least ``minimum``.
+
+    JSON numbers only: null, booleans, strings, lists, objects, a fraction
+    where an integer belongs, and values that overflowed to infinity raise
+    ConfigError.
+    """
+    number = None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = kind(value)
+        except (OverflowError, ValueError):  # int() of inf or nan
+            pass
+    if (number is None or number != value
+            or (kind is float and not math.isfinite(number))):
+        name = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{where} must be {name}, got {value!r}")
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"{where} must be >= {minimum}, got {number!r}")
+    return number
 
 
 def _load_config(path):
@@ -69,50 +96,67 @@ def resolve_config(cfg, args):
     """Defaults filled, flags applied, every seed made explicit."""
     _check_keys(cfg, TOP_KEYS, "config")
     out = dict(cfg)
-    out["seed"] = int(args.seed if args.seed is not None
-                      else out.get("seed", 0))
+    out["seed"] = _number(args.seed if args.seed is not None
+                          else out.get("seed", 0), int, "seed")
     out["target_g"] = out.get("target_g", TargetGenSpec.g)
     if out["target_g"] not in TARGET_NONLINEARITIES:
         raise ConfigError(f"target_g must be one of {TARGET_NONLINEARITIES}")
-    out["alpha"] = float(out.get("alpha", TargetGenSpec.alpha))
-    out["lambda_hidden"] = float(args.lambda_hidden
-                                 if args.lambda_hidden is not None
-                                 else out.get("lambda_hidden", HIDDEN_LAMBDA))
-    out["lambda_output"] = float(args.lambda_output
-                                 if args.lambda_output is not None
-                                 else out.get("lambda_output", OUTPUT_LAMBDA))
-    out["batch_size"] = int(out.get("batch_size", 256))
+    out["alpha"] = _number(out.get("alpha", TargetGenSpec.alpha), float,
+                           "alpha")
+    for key, flag, default in (
+            ("lambda_hidden", args.lambda_hidden, HIDDEN_LAMBDA),
+            ("lambda_output", args.lambda_output, OUTPUT_LAMBDA)):
+        out[key] = _number(flag if flag is not None else out.get(key, default),
+                           float, key)
+    out["batch_size"] = _number(out.get("batch_size", BATCH_SIZE), int,
+                                "batch_size", minimum=1)
     out["out"] = args.out if args.out is not None else out.get("out", "fp_run")
+    if not isinstance(out["out"], str):
+        raise ConfigError(f"out must be a directory path, got {out['out']!r}")
 
     mode = out.get("mode", "closed_form")
     if isinstance(mode, str):
         mode = {"name": mode}
+    if not isinstance(mode, dict):
+        raise ConfigError(f"mode must be a name or an object, got {mode!r}")
     _check_keys(mode, MODE_KEYS, "mode")
     if args.mode is not None:
         mode["name"] = args.mode
-    if mode["name"] not in ("closed_form", "iterative"):
-        raise ConfigError(f"unknown mode {mode['name']!r}")
+    if mode.get("name") not in ("closed_form", "iterative"):
+        raise ConfigError(f"unknown mode {mode.get('name')!r}")
     if mode["name"] == "iterative":
         mode = {"name": "iterative",
-                "eta": float(mode.get("eta", IterativeConfig.eta)),
-                "epochs": int(mode.get("epochs", IterativeConfig.epochs)),
-                "batch": int(mode.get("batch", IterativeConfig.batch))}
+                "eta": _number(mode.get("eta", IterativeConfig.eta), float,
+                               "mode.eta"),
+                "epochs": _number(mode.get("epochs", IterativeConfig.epochs),
+                                  int, "mode.epochs"),
+                "batch": _number(mode.get("batch", IterativeConfig.batch),
+                                 int, "mode.batch")}
     out["mode"] = mode
 
-    data = dict(out.get("data", {}))
+    data = out.get("data", {})
+    if not isinstance(data, dict):
+        raise ConfigError(f"data must be an object, got {data!r}")
+    data = dict(data)
     _check_keys(data, DATA_KEYS, "data")
     kind = data.get("kind")
     if kind == "idx":
         for key in ("train_images", "train_labels"):
             if key not in data:
                 raise ConfigError(f"idx data needs {key!r}")
+        for key in ("train_images", "train_labels", "test_images",
+                    "test_labels"):
+            # open() would take an integer for a file descriptor
+            if key in data and not isinstance(data[key], str):
+                raise ConfigError(f"data.{key} must be a file path, "
+                                  f"got {data[key]!r}")
     elif kind == "synthetic":
-        data = {"kind": "synthetic", "n": int(data.get("n", 2000)),
-                "test_n": int(data.get("test_n", 500)),
-                "dim": int(data.get("dim", 32)),
-                "classes": int(data.get("classes", 4)),
-                "separation": float(data.get("separation", 3.0)),
-                "data_seed": int(data.get("data_seed", 0))}
+        defaults = {"n": (2000, int), "test_n": (500, int), "dim": (32, int),
+                    "classes": (4, int), "separation": (3.0, float),
+                    "data_seed": (0, int)}
+        data = {"kind": "synthetic", **{
+            key: _number(data.get(key, default), number, f"data.{key}")
+            for key, (default, number) in defaults.items()}}
     else:
         raise ConfigError("data.kind must be 'idx' or 'synthetic'")
     out["data"] = data
@@ -124,9 +168,18 @@ def resolve_config(cfg, args):
     for idx, entry in enumerate(arch):
         if not isinstance(entry, dict) or "kind" not in entry:
             raise ConfigError(f"architecture[{idx}] needs a 'kind'")
-        _check_keys(entry, LAYER_KEYS, f"architecture[{idx}]")
+        where = f"architecture[{idx}]"
+        _check_keys(entry, LAYER_KEYS, where)
         entry = dict(entry)
         kind = entry["kind"]
+        for key, number in LAYER_NUMBERS.items():
+            if key in entry:
+                entry[key] = _number(entry[key], number, f"{where}.{key}")
+        if "kernel" in entry:
+            if not isinstance(entry["kernel"], list):
+                raise ConfigError(f"{where}.kernel must be a list of integers")
+            entry["kernel"] = [_number(k, int, f"{where}.kernel")
+                               for k in entry["kernel"]]
         if kind in ("dense", "conv1d", "conv2d"):
             q_seed, u_seed = derive_layer_seeds(out["seed"], idx)
             entry.setdefault("g", out["target_g"])
@@ -140,7 +193,7 @@ def resolve_config(cfg, args):
         elif kind == "output":
             entry.setdefault("lam", out["lambda_output"])
         elif kind != "global_avg_pool":
-            raise ConfigError(f"architecture[{idx}] has unknown kind {kind!r}")
+            raise ConfigError(f"{where} has unknown kind {kind!r}")
         resolved_arch.append(entry)
     kinds = [e["kind"] for e in resolved_arch]
     if kinds.count("output") != 1 or kinds[-1] != "output":

@@ -255,11 +255,11 @@ def render_map(emap, class_index, upsample_to):
 def write_map_csv(grid, path):
     """Write a rendered map as row,col,score lines (1-D grids get row 0)."""
     grid = np.atleast_2d(np.asarray(grid, dtype=np.float64))
+    # Python floats format as numpy's do, without a scalar per element
+    lines = [f"{r},{c},{v:.10g}\n"
+             for r, row in enumerate(grid.tolist()) for c, v in enumerate(row)]
     with open(path, "w") as fh:
-        fh.write("row,col,score\n")
-        for r in range(grid.shape[0]):
-            for c in range(grid.shape[1]):
-                fh.write(f"{r},{c},{grid[r, c]:.10g}\n")
+        fh.write("row,col,score\n" + "".join(lines))
 
 
 def write_map_pgm(grid, path):

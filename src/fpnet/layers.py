@@ -11,7 +11,17 @@ conv output   : (N, out_channels, *spatial'), "valid" windows only, no padding.
 Window matrices produced by ``extract_windows`` have one row per
 (sample, position) pair, sample-major then raster position order, and
 columns ordered channel-major: all kernel offsets of channel 0, then
-channel 1, and so on.
+channel 1, and so on. Conv weights, their q projections, checkpoints and
+``explain`` all use this channel-major order.
+
+Internally, ``potentials`` and conv fits gather windows channels-last
+instead (``extract_windows(..., channels_last=True)``: the channels of
+kernel offset 0, then of offset 1, and so on). A conv layer's output lies
+in memory as (N, *spatial', C), so each run of that gather is k2 * C
+contiguous floats rather than k2 floats C apart. The small matrices follow
+the large one: ``potentials`` multiplies by w's rows taken in channels-last
+order, and a conv fit takes q's rows in that order, fits in it and maps
+the fitted w back to channel-major rows.
 """
 
 import math
@@ -153,12 +163,14 @@ def conv_output_shape(spatial, kernel, stride):
     return tuple(out)
 
 
-def extract_windows(x, kernel, stride=1):
+def extract_windows(x, kernel, stride=1, *, channels_last=False):
     """Flatten all valid convolution windows into a matrix.
 
     x : (N, C, T) or (N, C, H, W).
     Returns (N * P, C * prod(kernel)) where P is the number of window
     positions; see the module docstring for row and column ordering.
+    channels_last : order each row's columns kernel offset first and
+        channel last, (k, C) or (k1, k2, C), instead of channel-major.
     """
     x = np.asarray(x, dtype=np.float64)
     if isinstance(kernel, int):
@@ -173,7 +185,8 @@ def extract_windows(x, kernel, stride=1):
         conv_output_shape(x.shape[2:], kernel, stride)
         v = np.lib.stride_tricks.sliding_window_view(x, k, axis=2)
         v = v[:, :, ::stride]                    # (N, C, P, k)
-        v = v.transpose(0, 2, 1, 3)              # (N, P, C, k)
+        # (N, P, k, C) channels last, else (N, P, C, k)
+        v = v.transpose((0, 2, 3, 1) if channels_last else (0, 2, 1, 3))
         n, p = v.shape[0], v.shape[1]
         return v.reshape(n * p, x.shape[1] * k).astype(np.float64, copy=False)
     if x.ndim == 4:
@@ -183,7 +196,9 @@ def extract_windows(x, kernel, stride=1):
         conv_output_shape(x.shape[2:], kernel, stride)
         v = np.lib.stride_tricks.sliding_window_view(x, (k1, k2), axis=(2, 3))
         v = v[:, :, ::stride, ::stride]          # (N, C, P1, P2, k1, k2)
-        v = v.transpose(0, 2, 3, 1, 4, 5)        # (N, P1, P2, C, k1, k2)
+        # (N, P1, P2, k1, k2, C) channels last, else (N, P1, P2, C, k1, k2)
+        v = v.transpose((0, 2, 3, 4, 5, 1) if channels_last
+                        else (0, 2, 3, 1, 4, 5))
         n, p1, p2 = v.shape[0], v.shape[1], v.shape[2]
         return v.reshape(n * p1 * p2, x.shape[1] * k1 * k2).astype(
             np.float64, copy=False)
@@ -197,6 +212,20 @@ def _flatten(x):
     if x.shape[0] == 0:
         raise ValueError("input has no samples")
     return x.reshape(x.shape[0], -1)
+
+
+def _window_rows_order(spec, m, channels_last):
+    """Rows of ``m``, one per window column of a conv layer, reordered from
+    channel-major to channels-last (or back when not ``channels_last``).
+
+    Rows of other layers, and of a single-channel conv layer, keep their
+    order.
+    """
+    if spec.kind not in ("conv1d", "conv2d"):
+        return m
+    k = math.prod(spec.kernel)
+    groups = (m.shape[0] // k, k) if channels_last else (k, m.shape[0] // k)
+    return m.reshape(*groups, m.shape[1]).swapaxes(0, 1).reshape(m.shape)
 
 
 def potentials(layer, x):
@@ -219,7 +248,7 @@ def potentials(layer, x):
         return a @ layer.w
     if spec.kind in ("conv1d", "conv2d"):
         x = np.asarray(x, dtype=np.float64)
-        rows = extract_windows(x, spec.kernel, spec.stride)
+        rows = extract_windows(x, spec.kernel, spec.stride, channels_last=True)
         if rows.shape[1] != layer.w.shape[0]:
             raise ValueError(
                 f"window width {rows.shape[1]} does not match weights "
@@ -227,7 +256,7 @@ def potentials(layer, x):
         out_spatial = conv_output_shape(x.shape[2:], spec.kernel, spec.stride)
         accounting.add_macs("forward", accounting.matmul_macs(
             rows.shape[0], rows.shape[1], layer.w.shape[1]))
-        z = rows @ layer.w
+        z = rows @ _window_rows_order(spec, layer.w, channels_last=True)
         z = z.reshape(x.shape[0], *out_spatial, layer.w.shape[1])
         return np.moveaxis(z, -1, 1)
     raise ValueError(f"{spec.kind} layers have no potentials")
@@ -272,7 +301,8 @@ def _layer_rows(spec, x_batch, y_batch):
     """Per-row design matrix and aligned labels for one batch.
 
     Conv layers contribute one row per window position, all sharing the
-    sample's label row. The output layer's rows end in an intercept column.
+    sample's label row, with the columns channels-last. The output layer's
+    rows end in an intercept column.
     """
     y = as_matrix(y_batch, "y_batch")
     if spec.kind == "output":
@@ -281,7 +311,7 @@ def _layer_rows(spec, x_batch, y_batch):
     if spec.kind == "dense":
         return _flatten(x_batch), y
     rows = extract_windows(np.asarray(x_batch, dtype=np.float64),
-                           spec.kernel, spec.stride)
+                           spec.kernel, spec.stride, channels_last=True)
     per_sample = rows.shape[0] // y.shape[0]
     return rows, np.repeat(y, per_sample, axis=0)
 
@@ -340,6 +370,10 @@ def fit_layer(spec, stream, q=None, u=None, mode="closed_form", targets=None):
     The output layer's targets are the labels. Its rows gain an intercept
     column whose weight row is left out of the ridge penalty, so shifting
     all activations by a constant moves only the intercept.
+
+    A conv layer's window rows are channels-last, so ``targets`` gets q's
+    rows in that order and the weights are fitted in it; the returned w and
+    q are channel-major (see the module docstring).
     """
     if spec.kind not in ("dense", "conv1d", "conv2d", "output"):
         raise ValueError(f"fit_layer handles trainable and output layers, "
@@ -349,18 +383,21 @@ def fit_layer(spec, stream, q=None, u=None, mode="closed_form", targets=None):
     source = generate_targets if targets is None else targets
     factory = _stream_factory(stream)
     ridge = spec.effective_ridge()
-    acc = w = penalty = None
+    acc = w = penalty = q_rows = None
     for _ in range(mode.epochs if iterative else 1):
         for x_batch, y_batch in factory():
             rows, y_rows = _layer_rows(spec, x_batch, y_batch)
+            del x_batch  # the rows hold all this step needs of it
             if output:  # fit the labels; leave the intercept unpenalised
                 z, width = y_rows, y_rows.shape[1]
                 penalty = np.append(np.ones(rows.shape[1] - 1), 0.0)
             else:
-                if q is None or u is None:
-                    q, u = _draw_projections(spec, rows.shape[1],
-                                             y_rows.shape[1])
-                z = source(rows, y_rows, q, u, spec.target)
+                if q_rows is None:
+                    if q is None or u is None:
+                        q, u = _draw_projections(spec, rows.shape[1],
+                                                 y_rows.shape[1])
+                    q_rows = _window_rows_order(spec, q, channels_last=True)
+                z = source(rows, y_rows, q_rows, u, spec.target)
                 if z is None:
                     return TrainedLayer(spec, w=q, q=q, u=u)
                 width = spec.out_channels
@@ -377,11 +414,12 @@ def fit_layer(spec, stream, q=None, u=None, mode="closed_form", targets=None):
                 accounting.note_matrices(acc, q, u,
                                          *(() if acc.kept else (rows, z)))
             # let this batch go before the stream builds the next one
-            del x_batch, y_batch, rows, y_rows, z
+            del y_batch, rows, y_rows, z
     if acc is None and w is None:
         raise ValueError("stream produced no batches")
     if not iterative:
         w = fit_weights(acc, ridge, penalty)
+    w = _window_rows_order(spec, w, channels_last=False)
     return TrainedLayer(spec, w=w, q=q, u=u)
 
 
@@ -458,10 +496,12 @@ def fit_network(specs, dataset, mode="closed_form", batch_size=256,
 
         def stream(prefix=prefix):
             for xb, yb in raw():
-                ab = xb
+                # handed over out of a list, so that this generator holds
+                # no reference to the batch while fit_layer uses it
+                ab = [xb]
                 for tl in prefix:
-                    ab = forward(tl, ab)
-                yield ab, yb
+                    ab[0] = forward(tl, ab[0])
+                yield ab.pop(), yb
 
         trained.append(TrainedLayer(spec) if spec.kind == "global_avg_pool"
                        else fit_layer(spec, stream, mode=mode, targets=targets))

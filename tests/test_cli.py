@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import struct
@@ -185,6 +186,93 @@ class TestErrorPaths:
         assert "batch loss" in capsys.readouterr().err
         assert main(["train", "--config", str(cfg), "--out",
                      str(tmp_path / "fp")]) == 0
+
+
+# JSON text for a number past float range; json.loads reads it as inf
+_HUGE = "1e400"
+
+_BAD_VALUES = [
+    (("batch_size",), None), (("batch_size",), [256]), (("batch_size",), {}),
+    (("batch_size",), _HUGE), (("batch_size",), -3), (("batch_size",), 0),
+    (("batch_size",), 2.5), (("batch_size",), True),
+    (("seed",), None), (("seed",), [0]), (("seed",), _HUGE),
+    (("alpha",), None), (("alpha",), [0.5]), (("alpha",), {}),
+    (("alpha",), _HUGE),
+    (("lambda_hidden",), None), (("lambda_hidden",), {}),
+    (("lambda_hidden",), "10"), (("lambda_output",), _HUGE),
+    (("mode", "epochs"), None), (("mode", "epochs"), [2]),
+    (("mode", "eta"), _HUGE),
+    (("data", "n"), None), (("data", "n"), _HUGE),
+    (("data", "classes"), []), (("data", "separation"), _HUGE),
+    (("data", "separation"), {}),
+    (("architecture", 0, "out_channels"), None),
+    (("architecture", 0, "out_channels"), _HUGE),
+    (("architecture", 0, "q_seed"), [1]),
+    (("architecture", 0, "q_seed"), _HUGE),
+    (("architecture", 0, "lam"), None), (("architecture", 0, "lam"), {}),
+    (("architecture", 0, "tau"), "x"), (("architecture", 1, "tau"), None),
+    (("architecture", 0, "stride"), None),
+    (("architecture", 0, "kernel"), None),
+    (("architecture", 0, "kernel"), [None]),
+    (("architecture", 0, "kernel"), 3),
+    (("mode",), 5), (("mode",), {"eta": 1e-3}), (("data",), [1]),
+    (("data",), {"kind": "idx", "train_images": 0, "train_labels": "l"}),
+    (("data",), {"kind": "idx", "train_images": "i", "train_labels": "l",
+                 "test_images": None, "test_labels": "t"}),
+]
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("path, value", _BAD_VALUES,
+                             ids=[".".join(map(str, p)) + f"={v!r}"
+                                  for p, v in _BAD_VALUES])
+    def test_wrong_type_is_config_error(self, tmp_path, capsys, path, value):
+        cfg_path = _write_config(
+            tmp_path / "cfg.json",
+            mode={"name": "iterative", "eta": 1e-3, "epochs": 1, "batch": 64})
+        cfg = json.loads(cfg_path.read_text())
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = "@@" if value is _HUGE else value
+        cfg_path.write_text(json.dumps(cfg).replace('"@@"', _HUGE))
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ")
+        assert not (out / "resolved_config.json").exists()
+
+    def test_out_must_be_a_path(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path / "cfg.json", out=[1])
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "out must be a directory path" in capsys.readouterr().err
+
+    def test_batch_size_default_is_fit_networks(self, tmp_path):
+        cfg = _write_config(tmp_path / "cfg.json")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        default = inspect.signature(fpnet.layers.fit_network).parameters[
+            "batch_size"].default
+        assert resolved["batch_size"] == default
+
+    def test_integral_numbers_kept(self, tmp_path):
+        cfg = _write_config(
+            tmp_path / "cfg.json", batch_size=64.0, lambda_hidden=10,
+            architecture=[{"kind": "dense", "out_channels": 4, "q_seed": 7.0},
+                          {"kind": "output", "tau": 1}],
+            data={"kind": "synthetic", "n": 60, "test_n": 0, "dim": 8,
+                  "classes": 2, "separation": 3, "data_seed": 0})
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["batch_size"] == 64
+        assert isinstance(resolved["batch_size"], int)
+        assert resolved["architecture"][0]["q_seed"] == 7
+        assert resolved["architecture"][1]["tau"] == 1.0
+        assert resolved["data"]["separation"] == 3.0
 
 
 class TestEval:

@@ -292,6 +292,24 @@ class TestWriters:
         assert lines[4] == "1,1,4.5"
         assert len(lines) == 5
 
+    @pytest.mark.parametrize("grid", [
+        SeededRng(40).standard_normal((28, 28)) * 1e3,
+        np.array([[0.0, -0.0, np.nan, np.inf], [-np.inf, 1e-300, 5e-324,
+                                                 1.2345678901234e20]]),
+        np.array([3.0, -2.5, 1 / 3]),            # 1-D: row 0
+        np.arange(6, dtype=np.int64).reshape(2, 3),
+        np.asfortranarray(SeededRng(41).standard_normal((3, 5)))])
+    def test_csv_bytes_match_per_element_writer(self, tmp_path, grid):
+        path = tmp_path / "map.csv"
+        write_map_csv(grid, path)
+        ref = np.atleast_2d(np.asarray(grid, dtype=np.float64))
+        with open(tmp_path / "ref.csv", "w") as fh:
+            fh.write("row,col,score\n")
+            for r in range(ref.shape[0]):
+                for c in range(ref.shape[1]):
+                    fh.write(f"{r},{c},{ref[r, c]:.10g}\n")
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     def test_pgm_header_and_scaling(self, tmp_path):
         path = tmp_path / "map.pgm"
         write_map_pgm(np.array([[0.0, 1.0], [0.5, 1.0]]), path)

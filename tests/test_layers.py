@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 import fpnet.layers as layers_mod
 from fpnet import accounting
+from fpnet.baselines import BaselineKind, make_baseline_targets
 from fpnet.core import (RidgeConfig, TargetGenSpec, generate_targets,
                         ridge_solve)
 from fpnet.data import Dataset, one_hot
@@ -586,6 +587,168 @@ class TestFitBatches:
             tracemalloc.stop()
         two_batches = 2 * 8 * b * 24 * 24 * (width + out)
         assert peak < two_batches
+
+    def test_stream_hands_each_batch_over(self, monkeypatch):
+        # layer 1 of a conv -> conv stack: once its window rows are built,
+        # its input batch must go before the targets are generated
+        b, side = 64, 16
+        specs = [LayerSpec("conv2d", 8, (1, 1), 1, "relu",
+                           TargetGenSpec(q_seed=1, u_seed=2)),
+                 LayerSpec("conv2d", 3, (1, 2), 1, "relu",
+                           TargetGenSpec(q_seed=3, u_seed=4)),
+                 LayerSpec("global_avg_pool"), LayerSpec("output")]
+        x = SeededRng(13).standard_normal((4 * b, 1, side, side))
+        y = one_hot(np.arange(4 * b) % 2)
+        peaks = []
+        fit = layers_mod.fit_layer
+
+        def measured(spec, stream, **kwargs):
+            if spec is not specs[1]:
+                return fit(spec, stream, **kwargs)
+            tracemalloc.start()
+            try:
+                return fit(spec, stream, **kwargs)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(layers_mod, "fit_layer", measured)
+        fit_network(specs, (x, y), batch_size=b)
+        positions = side * (side - 1)
+        batch = 8 * b * side * side * 8          # layer 1's input
+        rows = 8 * b * positions * (8 * 2)       # its window rows
+        label_rows = 8 * b * positions * 2
+        targets = 8 * b * positions * 3          # g(a @ q), and g(y @ u)
+        # gathering holds the input, rows and label rows; generating targets
+        # holds the rows, label rows and two target-sized products, and the
+        # input too unless the stream and fit_layer have let it go
+        assert peaks[0] < batch + rows + label_rows + targets
+
+
+def _channel_major_to_last(rows, channels):
+    """Columns of channel-major window rows regrouped as (kernel, channel)."""
+    n, width = rows.shape
+    k = width // channels
+    return rows.reshape(n, channels, k).transpose(0, 2, 1).reshape(n, width)
+
+
+def _images(shape, seed, channels_last_memory):
+    """(N, C, *spatial) input, as a contiguous array or as a moveaxis view
+    over (N, *spatial, C) memory, the layout conv outputs have."""
+    rng = SeededRng(seed)
+    if not channels_last_memory:
+        return rng.standard_normal(shape)
+    raw = rng.standard_normal((shape[0], *shape[2:], shape[1]))
+    return np.moveaxis(raw, -1, 1)
+
+
+def _conv_dense_pair(channels, kernel, stride, out=6, g="sign", lam=10.0):
+    kind = "conv1d" if len(kernel) == 1 else "conv2d"
+    target = TargetGenSpec(g=g, q_seed=3, u_seed=4)
+    conv = LayerSpec(kind, out_channels=out, kernel=kernel, stride=stride,
+                     activation="relu", target=target,
+                     ridge=RidgeConfig(lam=lam))
+    return conv, _dense_spec(out, g=g, lam=lam, q_seed=3, u_seed=4)
+
+
+class TestChannelsLastWindows:
+    @pytest.mark.parametrize("moved", [False, True])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("shape, kernel", [((2, 11), (3,)),
+                                               ((2, 7, 6), (3, 2))])
+    def test_columns_are_channel_major_reordered(self, shape, kernel,
+                                                 channels, stride, moved):
+        x = _images((shape[0], channels, *shape[1:]), 70, moved)
+        cm = extract_windows(x, kernel, stride)
+        cl = extract_windows(x, kernel, stride, channels_last=True)
+        assert cl.flags["C_CONTIGUOUS"]
+        assert np.array_equal(cl, _channel_major_to_last(cm, channels))
+
+    def test_conv_forward_matches_channel_major_windows(self):
+        x = _images((3, 3, 9, 8), 71, channels_last_memory=True)
+        spec = LayerSpec("conv2d", out_channels=5, kernel=(3, 3), stride=2,
+                         activation="identity")
+        w = SeededRng(72).standard_normal((27, 5))
+        out = forward(TrainedLayer(spec, w=w), x)
+        ref = (extract_windows(x, (3, 3), 2) @ w).reshape(3, 4, 3, 5)
+        assert_allclose(out, np.moveaxis(ref, -1, 1), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape, kernel, stride", [
+        ((40, 3, 12), (3,), 1),         # 400 rows of width 9: primal
+        ((30, 3, 9, 8), (3, 2), 2),     # 360 rows of width 18: primal
+        ((2, 3, 5, 5), (3, 3), 2)])     # 8 rows of width 27: dual
+    def test_closed_form_fit_matches_dense_fit(self, shape, kernel, stride,
+                                               monkeypatch):
+        import fpnet.core as core
+        dual_calls = []
+        solve = core._dual_solve
+        monkeypatch.setattr(core, "_dual_solve",
+                            lambda *a: dual_calls.append(1) or solve(*a))
+        x = _images(shape, 73, channels_last_memory=True)
+        y = one_hot(np.arange(shape[0]) % 2)
+        conv_spec, dense_spec = _conv_dense_pair(3, kernel, stride)
+        conv = fit_layer(conv_spec, [(x, y)])
+        windows = extract_windows(x, kernel, stride)
+        y_rows = np.repeat(y, windows.shape[0] // shape[0], axis=0)
+        dense = fit_layer(dense_spec, [(windows, y_rows)])
+        assert len(dual_calls) == 2 * (windows.shape[0] < windows.shape[1])
+        assert conv.w.flags["C_CONTIGUOUS"]
+        assert np.array_equal(conv.q, dense.q)
+        assert_allclose(conv.w, dense.w, rtol=1e-9, atol=1e-12)
+
+    def test_iterative_fit_matches_dense_fit(self):
+        x = _images((6, 3, 7, 7), 74, channels_last_memory=True)
+        y = one_hot(np.arange(6) % 3)
+        conv_spec, dense_spec = _conv_dense_pair(3, (3, 3), 2)
+        mode = IterativeConfig(eta=1e-3, epochs=3)
+        halves = (slice(0, 3), slice(3, 6))
+        conv = fit_layer(conv_spec, [(x[h], y[h]) for h in halves], mode=mode)
+        stream = [(extract_windows(x[h], (3, 3), 2),
+                   np.repeat(y[h], 9, axis=0)) for h in halves]
+        dense = fit_layer(dense_spec, stream, mode=mode)
+        assert conv.w.flags["C_CONTIGUOUS"]
+        assert_allclose(conv.w, dense.w, rtol=1e-9, atol=1e-12)
+
+    def test_label_projection_fit_matches_dense_fit(self):
+        x = _images((20, 3, 8, 8), 75, channels_last_memory=True)
+        y = one_hot(np.arange(20) % 4)
+        conv_spec, dense_spec = _conv_dense_pair(3, (3, 3), 1)
+        kind = BaselineKind("label_projection")
+
+        def targets(rows, y_rows, q, u, target_spec):
+            return make_baseline_targets(kind, y_rows, u)
+
+        conv = fit_layer(conv_spec, [(x, y)], targets=targets)
+        windows = extract_windows(x, (3, 3), 1)
+        dense = fit_layer(dense_spec, [(windows, np.repeat(y, 36, axis=0))],
+                          targets=targets)
+        assert_allclose(conv.w, dense.w, rtol=1e-9, atol=1e-12)
+
+    def test_random_features_keep_q_itself(self):
+        x = _images((4, 3, 6, 6), 76, channels_last_memory=True)
+        conv_spec, _ = _conv_dense_pair(3, (3, 3), 1)
+        kind = BaselineKind("random_features")
+        layer = fit_layer(conv_spec, [(x, one_hot(np.arange(4) % 2))],
+                          targets=lambda rows, y_rows, q, u, t:
+                          make_baseline_targets(kind, y_rows, u))
+        assert layer.w is layer.q
+
+    def test_one_gather_through_the_module(self, monkeypatch):
+        calls = []
+        gather = layers_mod.extract_windows
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("channels_last", False))
+            return gather(*args, **kwargs)
+
+        monkeypatch.setattr(layers_mod, "extract_windows", counted)
+        x = _images((4, 3, 6, 6), 77, channels_last_memory=True)
+        conv_spec, _ = _conv_dense_pair(3, (3, 3), 1)
+        layer = fit_layer(conv_spec, [(x, one_hot(np.arange(4) % 2))])
+        assert calls == [True]
+        potentials(layer, x)
+        assert calls == [True, True]
 
 
 class TestInputsUnchanged:
