@@ -16,6 +16,7 @@ so explanations work on a loaded network without re-deriving anything.
 Readers reject files whose version is newer than they understand.
 """
 
+import dataclasses
 import json
 import math
 import struct
@@ -33,24 +34,8 @@ _MATRIX_FIELDS = ("w", "q", "u")
 
 
 def _layer_header(tl):
-    spec = tl.spec
-    entry = {
-        "kind": spec.kind,
-        "out_channels": spec.out_channels,
-        "kernel": list(spec.kernel),
-        "stride": spec.stride,
-        "activation": spec.activation,
-        "target": None,
-        "ridge": None,
-        "matrices": [f for f in _MATRIX_FIELDS if getattr(tl, f) is not None],
-    }
-    if spec.target is not None:
-        t = spec.target
-        entry["target"] = {"g": t.g, "alpha": t.alpha,
-                           "q_seed": t.q_seed, "u_seed": t.u_seed}
-    if spec.ridge is not None:
-        entry["ridge"] = {"lam": spec.ridge.lam, "tau": spec.ridge.tau}
-    return entry
+    return {**dataclasses.asdict(tl.spec),
+            "matrices": [f for f in _MATRIX_FIELDS if getattr(tl, f) is not None]}
 
 
 def save_network(net, path):
@@ -82,17 +67,23 @@ def _take(buf, offset, count, what):
     return buf[offset:offset + count], offset + count
 
 
-def _spec_from_header(entry):
-    target = entry.get("target")
-    if target is not None:
-        target = TargetGenSpec(g=target["g"], alpha=target["alpha"],
-                               q_seed=target["q_seed"], u_seed=target["u_seed"])
-    ridge = entry.get("ridge")
-    if ridge is not None:
-        ridge = RidgeConfig(lam=ridge["lam"], tau=ridge["tau"])
-    return LayerSpec(kind=entry["kind"], out_channels=entry["out_channels"],
-                     kernel=tuple(entry["kernel"]), stride=entry["stride"],
-                     activation=entry["activation"], target=target, ridge=ridge)
+def _fields(cls, entry, where, extra=()):
+    """``entry``'s values for the fields of dataclass ``cls``; its keys must
+    be exactly those fields plus ``extra``."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    if not isinstance(entry, dict) or entry.keys() != {*names, *extra}:
+        raise CheckpointFormatError(
+            f"{where} does not hold exactly the fields of {cls.__name__}")
+    return {name: entry[name] for name in names}
+
+
+def _spec_from_header(entry, i):
+    fields = _fields(LayerSpec, entry, f"layer {i}", extra=("matrices",))
+    for key, cls in (("target", TargetGenSpec), ("ridge", RidgeConfig)):
+        if fields[key] is not None:
+            fields[key] = cls(**_fields(cls, fields[key], f"layer {i} {key}"))
+    fields["kernel"] = tuple(fields["kernel"])  # a list; a bare int is malformed
+    return LayerSpec(**fields)
 
 
 def _check_shapes(layers, label_dim):
@@ -142,7 +133,7 @@ def _decode_network(header, buf, off):
     """Network and end offset from a parsed header and the matrices at ``off``."""
     layers = []
     for i, entry in enumerate(header["layers"]):
-        spec = _spec_from_header(entry)
+        spec = _spec_from_header(entry, i)
         names = entry["matrices"]
         if not isinstance(names, list):
             raise CheckpointFormatError(f"layer {i}: matrices must be a list")

@@ -36,7 +36,7 @@ from .explain import explain_layer, input_origin, render_map, write_map_csv, wri
 from .layers import (ACTIVATIONS, IterativeConfig, LayerSpec, Network,
                      fit_network, network_forward, potentials, predict)
 from .linalg import SeededRng
-from .metrics import metric_report
+from .metrics import MetricReport, metric_report
 
 TOP_KEYS = {"seed", "data", "architecture", "target_g", "alpha",
             "lambda_hidden", "lambda_output", "mode", "batch_size", "out"}
@@ -268,7 +268,7 @@ def _write_resolved(resolved, out_dir):
 def _write_metrics(rows, out_dir):
     path = os.path.join(out_dir, "metrics.csv")
     with open(path, "w") as fh:
-        fh.write("split,n,seed,accuracy,auc_macro,aupr_macro\n")
+        fh.write("split," + MetricReport.csv_header() + "\n")
         for split, rep in rows:
             fh.write(f"{split},{rep.csv_row()}\n")
     return path
@@ -366,10 +366,6 @@ def cmd_explain(args):
 
 
 def cmd_bench(args):
-    if args.suite == "bottleneck":
-        return cmd_bottleneck_sweep(args)
-    if args.suite == "fewshot":
-        return cmd_fewshot_sweep(args)
     resolved = _require_config(args)
     out_dir = resolved["out"]
     os.makedirs(out_dir, exist_ok=True)
@@ -432,6 +428,23 @@ def cmd_fewshot_sweep(args):
     return 0
 
 
+# Flags beyond the common ones, by the subcommands that take them
+FLAGS = {
+    "--method": {"choices": METHODS, "default": "fp"},
+    "--checkpoint": {"required": True},
+    "--input": {"required": True, "help": "IDX image file"},
+    "--layer": {"type": int, "required": True},
+    "--sample": {"type": int, "default": 0},
+    "--widths": {"default": "100,200,400,800"},
+    "--base-widths": {"default": "1000,1000"},
+    "--shots": {"default": "5,10,15,20,30,40,50"},
+    "--seeds": {"default": "0,1,2,3,4"},
+    "--hidden": {"default": "1000,1000,1000"},
+    "--activation": {"choices": ACTIVATIONS, "default": "relu"},
+    "--out": {"default": None, "help": "output directory"},
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fpnet",
@@ -439,54 +452,33 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run configuration")
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--lambda-hidden", dest="lambda_hidden", type=float,
-                        default=None)
-    common.add_argument("--lambda-output", dest="lambda_output", type=float,
-                        default=None)
+    common.add_argument("--lambda-hidden", type=float, default=None)
+    common.add_argument("--lambda-output", type=float, default=None)
     common.add_argument("--mode", choices=("closed_form", "iterative"),
                         default=None)
-    common.add_argument("--out", default=None, help="output directory")
+    common.add_argument("--out", **FLAGS["--out"])
 
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("train", parents=[common],
-                       help="fit a network and write model.fpk")
-    p.add_argument("--method", choices=METHODS, default="fp")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", parents=[common],
-                       help="score a checkpoint on the configured data")
-    p.add_argument("--checkpoint", required=True)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("explain", parents=[common],
-                       help="write per-class evidence maps for one layer")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--input", required=True, help="IDX image file")
-    p.add_argument("--layer", type=int, required=True)
-    p.add_argument("--sample", type=int, default=0)
-    p.set_defaults(func=cmd_explain)
-
-    sweep = argparse.ArgumentParser(add_help=False)
-    sweep.add_argument("--widths", default="100,200,400,800")
-    sweep.add_argument("--base-widths", dest="base_widths", default="1000,1000")
-    sweep.add_argument("--shots", default="5,10,15,20,30,40,50")
-    sweep.add_argument("--seeds", default="0,1,2,3,4")
-    sweep.add_argument("--hidden", default="1000,1000,1000")
-    sweep.add_argument("--activation", choices=ACTIVATIONS, default="relu")
-    sweep.add_argument("--method", choices=METHODS, default="fp")
-
-    p = sub.add_parser("bench", parents=[common, sweep],
-                       help="one benchmark run, or a named sweep suite")
-    p.add_argument("--suite", choices=("bottleneck", "fewshot"), default=None)
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("bottleneck-sweep", parents=[common, sweep],
-                       help="all methods across bottleneck widths")
-    p.set_defaults(func=cmd_bottleneck_sweep)
-
-    p = sub.add_parser("fewshot-sweep", parents=[common, sweep],
-                       help="accuracy versus samples per class")
-    p.set_defaults(func=cmd_fewshot_sweep)
+    for name, func, parents, flags, help_ in (
+            ("train", cmd_train, [common], ["--method"],
+             "fit a network and write model.fpk"),
+            ("eval", cmd_eval, [common], ["--checkpoint"],
+             "score a checkpoint on the configured data"),
+            ("explain", cmd_explain, [],
+             ["--checkpoint", "--input", "--layer", "--sample", "--out"],
+             "write per-class evidence maps for one layer"),
+            ("bench", cmd_bench, [common], ["--method"],
+             "one benchmark run"),
+            ("bottleneck-sweep", cmd_bottleneck_sweep, [common],
+             ["--widths", "--base-widths", "--activation"],
+             "all methods across bottleneck widths"),
+            ("fewshot-sweep", cmd_fewshot_sweep, [common],
+             ["--shots", "--seeds", "--hidden", "--activation", "--method"],
+             "accuracy versus samples per class")):
+        p = sub.add_parser(name, parents=parents, help=help_)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 

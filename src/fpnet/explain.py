@@ -13,12 +13,13 @@ nonlinearities are not supported. Swapping the roles of q and u instead
 recovers the input that the potentials encode.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UnsupportedNonlinearityError
-from .layers import conv_output_shape, extract_windows, _flatten
+from .layers import conv_output_shape, _rows, _window_rows_order
 from .core import apply_g
 from .linalg import as_matrix, pseudo_inverse_rows
 
@@ -119,38 +120,30 @@ def explain_layer(layer, a_prev, z, origin=None, layer_index=0):
     origin : grid geometry of a_prev in input coordinates (conv stacks);
         defaults to the identity grid.
 
-    Returns an ExplanationMap whose trailing axis indexes classes.
+    Decodes the rows the layer was fitted on, channels-last windows for a
+    conv layer, against q's rows taken in the same order. Returns an
+    ExplanationMap whose trailing axis indexes classes.
     """
     spec = layer.spec
     _inverse_pair(spec.target)  # an unsupported g fails before any work
     if layer.q is None or layer.u is None:
         raise ValueError("layer is missing its target projections")
     u_pinv = pseudo_inverse_rows(layer.u)
-
-    if spec.kind == "dense":
-        a = _flatten(a_prev)
-        z = as_matrix(z, "z")
-        if z.shape != (a.shape[0], layer.q.shape[1]):
-            raise ValueError(f"potentials shaped {z.shape} do not match layer")
-        return ExplanationMap(layer_index, _decode(layer, z, a, layer.q, u_pinv),
-                              origin=None)
-
-    if spec.kind in ("conv1d", "conv2d"):
-        x = np.asarray(a_prev, dtype=np.float64)
-        rows = extract_windows(x, spec.kernel, spec.stride)
-        out_spatial = conv_output_shape(x.shape[2:], spec.kernel, spec.stride)
-        z = np.asarray(z, dtype=np.float64)
-        want = (x.shape[0], layer.q.shape[1], *out_spatial)
-        if z.shape != want:
-            raise ValueError(f"potentials shaped {z.shape}, expected {want}")
-        yhat = _decode(layer, z, rows, layer.q, u_pinv)
-        values = yhat.reshape(x.shape[0], *out_spatial, u_pinv.shape[1])
-        if origin is None:
-            origin = identity_origin(len(out_spatial))
-        return ExplanationMap(layer_index, values,
-                              origin=compose_origin(origin, spec.kernel,
-                                                    spec.stride))
-    raise ValueError(f"cannot explain {spec.kind} layers")
+    rows, grid = _rows(spec, a_prev)
+    n = rows.shape[0] // math.prod(grid)
+    z = np.asarray(z, dtype=np.float64)
+    want = (n, layer.q.shape[1], *grid)
+    if z.shape != want:
+        raise ValueError(f"potentials shaped {z.shape}, expected {want}")
+    q_rows = _window_rows_order(spec, layer.q, channels_last=True)
+    values = _decode(layer, z, rows, q_rows, u_pinv)
+    if not grid:
+        return ExplanationMap(layer_index, values, origin=None)
+    if origin is None:
+        origin = identity_origin(len(grid))
+    return ExplanationMap(
+        layer_index, values.reshape(n, *grid, u_pinv.shape[1]),
+        origin=compose_origin(origin, spec.kernel, spec.stride))
 
 
 def _windows_to_tensor(rows, n, channels, spatial, kernel, stride):
@@ -180,9 +173,10 @@ def _windows_to_tensor(rows, n, channels, spatial, kernel, stride):
 def reconstruct_input(layer, z, y):
     """Recover the layer input encoded in its potentials.
 
-    ahat = g_inv(z - g(y @ u) - alpha) @ q_pinv. Needs the input dimension
-    (per window, for conv layers) to be at most the layer width, otherwise
-    q has no right inverse and RankDeficientError is raised.
+    ahat = g_inv(z - g(y @ u) - alpha) @ q_pinv, with y repeated over a conv
+    layer's grid. Needs the input dimension (per window, for conv layers)
+    to be at most the layer width, otherwise q has no right inverse and
+    RankDeficientError is raised.
 
     Dense layers return an (N, d) matrix of flattened inputs; conv layers
     reconstruct each window and average overlaps back into an
@@ -194,26 +188,20 @@ def reconstruct_input(layer, z, y):
         raise ValueError("layer is missing its target projections")
     q_pinv = pseudo_inverse_rows(layer.q)
     y = as_matrix(y, "y")
-
-    if spec.kind == "dense":
-        z = as_matrix(z, "z")
-        if z.shape[0] != y.shape[0]:
-            raise ValueError("z and y disagree on sample count")
-        return _decode(layer, z, y, layer.u, q_pinv)
-
-    if spec.kind in ("conv1d", "conv2d"):
-        z = np.asarray(z, dtype=np.float64)
-        n = z.shape[0]
-        out_spatial = z.shape[2:]
-        positions = int(np.prod(out_spatial)) if out_spatial else 1
-        y_rows = np.repeat(y, positions, axis=0)
-        rows = _decode(layer, z, y_rows, layer.u, q_pinv)
-        channels = layer.q.shape[0] // int(np.prod(spec.kernel))
-        spatial = tuple((p - 1) * spec.stride + k
-                        for p, k in zip(out_spatial, spec.kernel))
-        return _windows_to_tensor(rows, n, channels, spatial, spec.kernel,
-                                  spec.stride)
-    raise ValueError(f"cannot reconstruct inputs of {spec.kind} layers")
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim < 2 or z.shape[0] != y.shape[0]:
+        raise ValueError(f"potentials shaped {z.shape} do not fit "
+                         f"{y.shape[0]} label rows")
+    grid = z.shape[2:]
+    rows = _decode(layer, z, np.repeat(y, math.prod(grid), axis=0),
+                   layer.u, q_pinv)
+    if not grid:
+        return rows
+    channels = layer.q.shape[0] // math.prod(spec.kernel)
+    spatial = tuple((p - 1) * spec.stride + k
+                    for p, k in zip(grid, spec.kernel))
+    return _windows_to_tensor(rows, z.shape[0], channels, spatial,
+                              spec.kernel, spec.stride)
 
 
 def render_map(emap, class_index, upsample_to):

@@ -14,14 +14,15 @@ columns ordered channel-major: all kernel offsets of channel 0, then
 channel 1, and so on. Conv weights, their q projections, checkpoints and
 ``explain`` all use this channel-major order.
 
-Internally, ``potentials`` and conv fits gather windows channels-last
-instead (``extract_windows(..., channels_last=True)``: the channels of
-kernel offset 0, then of offset 1, and so on). A conv layer's output lies
-in memory as (N, *spatial', C), so each run of that gather is k2 * C
-contiguous floats rather than k2 floats C apart. The small matrices follow
-the large one: ``potentials`` multiplies by w's rows taken in channels-last
-order, and a conv fit takes q's rows in that order, fits in it and maps
-the fitted w back to channel-major rows.
+Internally, ``_rows`` builds every weighted layer's design rows; conv
+layers gather windows there channels-last (``extract_windows(...,
+channels_last=True)``: the channels of kernel offset 0, then of offset 1,
+and so on). A conv layer's output lies in memory as (N, *spatial', C), so
+each run of that gather is k2 * C contiguous floats rather than k2 floats
+C apart. The small matrices follow the large one: ``potentials`` takes
+w's rows in channels-last order; a conv fit takes q's rows in that order,
+fits in it and maps w back to channel-major rows; and ``explain`` gathers
+the same rows and reorders q's rows to match them.
 """
 
 import math
@@ -214,6 +215,24 @@ def _flatten(x):
     return x.reshape(x.shape[0], -1)
 
 
+def _rows(spec, x, w_rows=None):
+    """Design rows of a weighted layer for the batch ``x``, and their grid.
+
+    Dense and output layers: the flattened samples, grid ``()``; an output
+    layer's rows end in an intercept column unless its weights have
+    ``w_rows == width`` rows. Conv layers: the channels-last windows, one
+    row per (sample, position), on the output grid.
+    """
+    if spec.kind in ("conv1d", "conv2d"):
+        x = np.asarray(x, dtype=np.float64)
+        rows = extract_windows(x, spec.kernel, spec.stride, channels_last=True)
+        return rows, conv_output_shape(x.shape[2:], spec.kernel, spec.stride)
+    a = _flatten(x)
+    if spec.kind == "output" and w_rows != a.shape[1]:
+        a = np.hstack([a, np.ones((a.shape[0], 1))])
+    return a, ()
+
+
 def _window_rows_order(spec, m, channels_last):
     """Rows of ``m``, one per window column of a conv layer, reordered from
     channel-major to channels-last (or back when not ``channels_last``).
@@ -229,64 +248,38 @@ def _window_rows_order(spec, m, channels_last):
 
 
 def potentials(layer, x):
-    """Pre-activation potentials of a trained hidden layer.
+    """Pre-activation potentials of a trained weighted layer.
 
-    dense : (N, out_channels) matrix.
-    conv  : (N, out_channels, *spatial') tensor.
+    dense, output : (N, out_channels) matrix; an output layer's are its
+        scores.
+    conv : (N, out_channels, *spatial') tensor.
     """
     spec = layer.spec
-    if layer.w is None:
+    w = layer.w
+    if w is None:
         raise ValueError(f"{spec.kind} layer has no weights")
-    if spec.kind == "dense":
-        a = _flatten(x)
-        if a.shape[1] != layer.w.shape[0]:
-            raise ValueError(
-                f"input width {a.shape[1]} does not match weights "
-                f"{layer.w.shape[0]}")
-        accounting.add_macs("forward", accounting.matmul_macs(
-            a.shape[0], a.shape[1], layer.w.shape[1]))
-        return a @ layer.w
-    if spec.kind in ("conv1d", "conv2d"):
-        x = np.asarray(x, dtype=np.float64)
-        rows = extract_windows(x, spec.kernel, spec.stride, channels_last=True)
-        if rows.shape[1] != layer.w.shape[0]:
-            raise ValueError(
-                f"window width {rows.shape[1]} does not match weights "
-                f"{layer.w.shape[0]}")
-        out_spatial = conv_output_shape(x.shape[2:], spec.kernel, spec.stride)
-        accounting.add_macs("forward", accounting.matmul_macs(
-            rows.shape[0], rows.shape[1], layer.w.shape[1]))
-        z = rows @ _window_rows_order(spec, layer.w, channels_last=True)
-        z = z.reshape(x.shape[0], *out_spatial, layer.w.shape[1])
-        return np.moveaxis(z, -1, 1)
-    raise ValueError(f"{spec.kind} layers have no potentials")
+    rows, grid = _rows(spec, x, w.shape[0])
+    if rows.shape[1] != w.shape[0]:
+        raise ValueError(
+            f"rows of width {rows.shape[1]} do not match weights {w.shape[0]}")
+    accounting.add_macs("forward", accounting.matmul_macs(
+        rows.shape[0], rows.shape[1], w.shape[1]))
+    z = rows @ _window_rows_order(spec, w, channels_last=True)
+    if not grid:
+        return z
+    return np.moveaxis(z.reshape(-1, *grid, w.shape[1]), -1, 1)
 
 
 def forward(layer, x):
     """Apply one trained layer to a batch."""
     spec = layer.spec
-    if spec.kind in ("dense", "conv1d", "conv2d"):
-        # potentials are fresh, so no caller sees them overwritten
-        return activate(spec.activation, potentials(layer, x), in_place=True)
     if spec.kind == "global_avg_pool":
         x = np.asarray(x, dtype=np.float64)
         if x.ndim < 3:
             raise ValueError("pooling expects (N, C, *spatial) input")
         return x.mean(axis=tuple(range(2, x.ndim)))
-    if spec.kind == "output":
-        a = _flatten(x)
-        w = layer.w
-        if w is None:
-            raise ValueError("output layer has no weights")
-        if w.shape[0] == a.shape[1] + 1:
-            a = np.hstack([a, np.ones((a.shape[0], 1))])
-        elif w.shape[0] != a.shape[1]:
-            raise ValueError(
-                f"input width {a.shape[1]} does not match weights {w.shape[0]}")
-        accounting.add_macs("forward", accounting.matmul_macs(
-            a.shape[0], a.shape[1], w.shape[1]))
-        return a @ w
-    raise ValueError(f"unknown layer kind {spec.kind!r}")
+    # potentials are fresh, so no caller sees them overwritten
+    return activate(spec.activation, potentials(layer, x), in_place=True)
 
 
 def _stream_factory(stream):
@@ -298,22 +291,11 @@ def _stream_factory(stream):
 
 
 def _layer_rows(spec, x_batch, y_batch):
-    """Per-row design matrix and aligned labels for one batch.
-
-    Conv layers contribute one row per window position, all sharing the
-    sample's label row, with the columns channels-last. The output layer's
-    rows end in an intercept column.
-    """
+    """``_rows`` of one batch and its labels, a sample's label row repeated
+    for each of the sample's window positions."""
     y = as_matrix(y_batch, "y_batch")
-    if spec.kind == "output":
-        a = _flatten(x_batch)
-        return np.hstack([a, np.ones((a.shape[0], 1))]), y
-    if spec.kind == "dense":
-        return _flatten(x_batch), y
-    rows = extract_windows(np.asarray(x_batch, dtype=np.float64),
-                           spec.kernel, spec.stride, channels_last=True)
-    per_sample = rows.shape[0] // y.shape[0]
-    return rows, np.repeat(y, per_sample, axis=0)
+    rows, grid = _rows(spec, x_batch)
+    return rows, np.repeat(y, math.prod(grid), axis=0) if grid else y
 
 
 def _draw_projections(spec, in_dim, label_dim):

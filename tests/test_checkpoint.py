@@ -141,9 +141,13 @@ def _set(path, value):
     return mutate
 
 
-def _delete(key):
+def _delete(*path):
     def mutate(h, p, net):
-        del h[key]
+        *outer, last = path
+        d = h
+        for key in outer:
+            d = d[key]
+        del d[last]
         return h, p
     return mutate
 
@@ -162,6 +166,10 @@ MALFORMED = {
     "unknown layer kind": _set(["layers", 0, "kind"], "bogus"),
     "non-integer out_channels": _set(["layers", 0, "out_channels"], "12"),
     "target not an object": _set(["layers", 0, "target"], [1, 2]),
+    "layer with an extra key": _set(["layers", 0, "padding"], 0),
+    "layer without stride": _delete("layers", 0, "stride"),
+    "target without alpha": _delete("layers", 0, "target", "alpha"),
+    "ridge with an extra key": _set(["layers", 0, "ridge", "mu"], 1.0),
     "class_names too short": _set(["class_names"], ["a"]),
     "no layers": _drop_layers,
     "dense layer without w": _dense_without_w,

@@ -358,11 +358,11 @@ class TestExplain:
 
 
 class TestSweeps:
-    def test_bench_suite_bottleneck_row_count(self, tmp_path):
+    def test_bottleneck_sweep_default_widths_row_count(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json")
         out = tmp_path / "run"
-        assert main(["bench", "--config", str(cfg), "--out", str(out),
-                     "--suite", "bottleneck", "--base-widths", "16"]) == 0
+        assert main(["bottleneck-sweep", "--config", str(cfg),
+                     "--out", str(out), "--base-widths", "16"]) == 0
         lines = (out / "bottleneck.csv").read_text().splitlines()
         assert len(lines) == 1 + 4 * 4  # 4 methods x 4 default widths
         assert lines[0].startswith("method,width,")
@@ -393,6 +393,30 @@ class TestSweeps:
         assert (out / "metrics.csv").exists()
         assert (out / "costs.csv").exists()
         assert "macs=" in capsys.readouterr().out
+
+
+# Flags a subcommand does not take although a sibling does: the sweep
+# options and --suite on bench, the config flags on explain, which reads no
+# config, and each sweep's options on the other sweep
+DROPPED_FLAGS = [
+    *[("bench", f) for f in ("--suite", "--widths", "--base-widths",
+                             "--shots", "--seeds", "--hidden", "--activation")],
+    *[("explain", f) for f in ("--config", "--seed", "--lambda-hidden",
+                               "--lambda-output", "--mode")],
+    *[("bottleneck-sweep", f) for f in ("--shots", "--seeds", "--hidden",
+                                        "--method")],
+    *[("fewshot-sweep", f) for f in ("--widths", "--base-widths")],
+]
+
+
+@pytest.mark.parametrize("command, flag", DROPPED_FLAGS)
+def test_dropped_flag_is_a_usage_error(capsys, command, flag):
+    required = (["--checkpoint", "m.fpk", "--input", "x.idx", "--layer", "0"]
+                if command == "explain" else [])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 class TestPackaging:

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import spearmanr
 
+import fpnet.layers as layers_mod
 from fpnet.core import RidgeConfig, TargetGenSpec, generate_targets
 from fpnet.data import one_hot, synthetic_gaussian_task
 from fpnet.errors import RankDeficientError, UnsupportedNonlinearityError
@@ -86,6 +87,42 @@ class TestExplainLayer:
         for pos in range(4):
             assert_allclose(emap.values[:, pos, :], y, atol=1e-8)
         assert emap.origin == SpatialOrigin(offsets=(1.0,), steps=(1.0,))
+
+    def _fitted_conv(self):
+        """A C = 3, stride-2 conv2d layer fitted on 3-channel images."""
+        rng = SeededRng(16)
+        x = rng.standard_normal((6, 3, 7, 7))
+        y = one_hot(np.arange(6) % 3)
+        spec = LayerSpec("conv2d", out_channels=40, kernel=(3, 3), stride=2,
+                         activation="relu",
+                         target=TargetGenSpec(g="sign", alpha=0.5, q_seed=7,
+                                              u_seed=8))
+        layer = fit_layer(spec, [(x, y)])
+        return layer, x, potentials(layer, x)
+
+    def test_conv_matches_channel_major_reference(self):
+        layer, x, z = self._fitted_conv()
+        target = layer.spec.target
+        z_rows = np.moveaxis(z, 1, -1).reshape(-1, z.shape[1])
+        g_in = np.sign(extract_windows(x, (3, 3), 2) @ layer.q)
+        ref = np.tanh(z_rows - g_in - target.alpha) @ np.linalg.pinv(layer.u)
+        emap = explain_layer(layer, x, z)
+        assert emap.values.shape == (6, 3, 3, 3)
+        assert_allclose(emap.values.reshape(-1, 3), ref, rtol=1e-12,
+                        atol=1e-12)
+
+    def test_conv_gathers_channels_last_through_layers(self, monkeypatch):
+        layer, x, z = self._fitted_conv()
+        calls = []
+        gather = layers_mod.extract_windows
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("channels_last", False))
+            return gather(*args, **kwargs)
+
+        monkeypatch.setattr(layers_mod, "extract_windows", counted)
+        explain_layer(layer, x, z)
+        assert calls == [True]
 
     def test_pure_function(self):
         rng = SeededRng(15)

@@ -109,6 +109,16 @@ class TestForward:
         _, labels = predict(net, np.array([[0.1, 0.9]]))
         assert labels[0] == 1
 
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_output_potentials_are_its_forward(self, intercept):
+        rng = SeededRng(51)
+        x = rng.standard_normal((7, 2, 3))
+        w = rng.standard_normal((6 + intercept, 4))
+        layer = TrainedLayer(LayerSpec("output"), w=w)
+        ref = x.reshape(7, 6) @ w[:6] + (w[6] if intercept else 0.0)
+        assert np.array_equal(potentials(layer, x), forward(layer, x))
+        assert_allclose(forward(layer, x), ref, rtol=0, atol=1e-12)
+
     def test_conv1d_equals_dense_on_windows(self):
         rng = SeededRng(50)
         x = rng.standard_normal((3, 2, 9))
