@@ -1,16 +1,20 @@
 """Command-line interface.
 
-Subcommands: train, eval, explain, bench, fewshot-sweep, bottleneck-sweep.
-Runs are driven by a JSON config; a handful of flags override config
-fields. Every random choice is pinned by seeds materialised into
-resolved_config.json, so rerunning a config reproduces the checkpoint
-byte for byte.
+train and bench fit the configured architecture and read every config
+key; they take --config, --seed, --out, --lambda-hidden, --lambda-output,
+--mode and --method. eval reads only the config's seed, data and out; the
+sweeps also read target_g and batch_size and take their own flags; explain
+reads no config. A config resolves in one pass into the layer specs and
+fitting mode the run uses, and any config error is raised before anything
+is written. Every seed is materialised into resolved_config.json, so
+rerunning that file reproduces the checkpoint byte for byte.
 
 Exit codes: 0 success, 2 config or usage error, 3 data format error,
 4 numeric failure (a singular system, or iterative training diverging).
 """
 
 import argparse
+import dataclasses
 import inspect
 import json
 import math
@@ -26,28 +30,28 @@ from .bench import (METHODS, bottleneck_sweep, derive_layer_seeds,
 from .checkpoint import load_network, save_network
 from .core import (HIDDEN_LAMBDA, OUTPUT_LAMBDA, RidgeConfig, TargetGenSpec,
                    TARGET_NONLINEARITIES)
-from .data import (Dataset, load_idx, read_idx_images, synthetic_gaussian_task,
-                   PIXEL_SCALE)
+from .data import (PIXEL_SCALE, load_idx, read_idx_images,
+                   synthetic_gaussian_task)
 from .errors import (CheckpointFormatError, ConfigError, DataConsistencyError,
-                     DivergenceError, FpnetError, IdxFormatError,
+                     DivergenceError, IdxFormatError,
                      NotPositiveDefiniteError, RankDeficientError,
                      UndefinedMetricError, UnsupportedNonlinearityError)
 from .explain import explain_layer, input_origin, render_map, write_map_csv, write_map_pgm
-from .layers import (ACTIVATIONS, IterativeConfig, LayerSpec, Network,
+from .layers import (ACTIVATIONS, LAYER_KINDS, IterativeConfig, LayerSpec,
                      fit_network, network_forward, potentials, predict)
 from .linalg import SeededRng
 from .metrics import MetricReport, metric_report
 
-TOP_KEYS = {"seed", "data", "architecture", "target_g", "alpha",
-            "lambda_hidden", "lambda_output", "mode", "batch_size", "out"}
+# Top-level config keys, in the order they resolve: eval reads the first
+# three, the sweeps the first five, train and bench all of them.
+TOP_KEYS = ("seed", "data", "out", "target_g", "batch_size", "alpha",
+            "lambda_hidden", "lambda_output", "mode", "architecture")
+EVAL_READS, SWEEP_READS = TOP_KEYS[:3], TOP_KEYS[:5]
 DATA_KEYS = {"kind", "train_images", "train_labels", "test_images",
              "test_labels", "n", "test_n", "dim", "classes", "separation",
              "data_seed"}
-LAYER_KEYS = {"kind", "out_channels", "kernel", "stride", "activation",
-              "g", "alpha", "q_seed", "u_seed", "lam", "tau"}
-MODE_KEYS = {"name", "eta", "epochs", "batch"}
-LAYER_NUMBERS = {"out_channels": int, "stride": int, "q_seed": int,
-                 "u_seed": int, "alpha": float, "lam": float, "tau": float}
+# The spec dataclasses whose fields each layer kind takes as config keys
+LAYER_CLASSES = {"global_avg_pool": (), "output": (RidgeConfig,)}
 BATCH_SIZE = inspect.signature(fit_network).parameters["batch_size"].default
 
 
@@ -79,6 +83,25 @@ def _number(value, kind, where, minimum=None):
     return number
 
 
+def _field_value(value, field, where):
+    """``value`` as dataclass ``field``'s type: a number, a tuple of integers
+    for a list, or a string left for the dataclass to check."""
+    if field.type is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list of integers")
+        return tuple(_number(v, int, where) for v in value)
+    return value if field.type is str else _number(value, field.type, where)
+
+
+def _build(cls, values, where):
+    """``cls`` from the entries of ``values`` that name its fields."""
+    try:
+        return cls(**{f.name: values[f.name] for f in dataclasses.fields(cls)
+                      if f.name in values})
+    except ValueError as e:
+        raise ConfigError(f"{where}: {e}") from e
+
+
 def _load_config(path):
     try:
         with open(path) as fh:
@@ -92,142 +115,126 @@ def _load_config(path):
     return cfg
 
 
-def resolve_config(cfg, args):
-    """Defaults filled, flags applied, every seed made explicit."""
-    _check_keys(cfg, TOP_KEYS, "config")
-    out = dict(cfg)
-    out["seed"] = _number(args.seed if args.seed is not None
-                          else out.get("seed", 0), int, "seed")
-    out["target_g"] = out.get("target_g", TargetGenSpec.g)
-    if out["target_g"] not in TARGET_NONLINEARITIES:
-        raise ConfigError(f"target_g must be one of {TARGET_NONLINEARITIES}")
-    out["alpha"] = _number(out.get("alpha", TargetGenSpec.alpha), float,
-                           "alpha")
-    for key, flag, default in (
-            ("lambda_hidden", args.lambda_hidden, HIDDEN_LAMBDA),
-            ("lambda_output", args.lambda_output, OUTPUT_LAMBDA)):
-        out[key] = _number(flag if flag is not None else out.get(key, default),
-                           float, key)
-    out["batch_size"] = _number(out.get("batch_size", BATCH_SIZE), int,
-                                "batch_size", minimum=1)
-    out["out"] = args.out if args.out is not None else out.get("out", "fp_run")
-    if not isinstance(out["out"], str):
-        raise ConfigError(f"out must be a directory path, got {out['out']!r}")
-
-    mode = out.get("mode", "closed_form")
-    if isinstance(mode, str):
-        mode = {"name": mode}
-    if not isinstance(mode, dict):
-        raise ConfigError(f"mode must be a name or an object, got {mode!r}")
-    _check_keys(mode, MODE_KEYS, "mode")
-    if args.mode is not None:
-        mode["name"] = args.mode
-    if mode.get("name") not in ("closed_form", "iterative"):
-        raise ConfigError(f"unknown mode {mode.get('name')!r}")
-    if mode["name"] == "iterative":
-        mode = {"name": "iterative",
-                "eta": _number(mode.get("eta", IterativeConfig.eta), float,
-                               "mode.eta"),
-                "epochs": _number(mode.get("epochs", IterativeConfig.epochs),
-                                  int, "mode.epochs"),
-                "batch": _number(mode.get("batch", IterativeConfig.batch),
-                                 int, "mode.batch")}
-    out["mode"] = mode
-
-    data = out.get("data", {})
+def _resolve_data(data):
     if not isinstance(data, dict):
         raise ConfigError(f"data must be an object, got {data!r}")
-    data = dict(data)
     _check_keys(data, DATA_KEYS, "data")
     kind = data.get("kind")
     if kind == "idx":
         for key in ("train_images", "train_labels"):
             if key not in data:
                 raise ConfigError(f"idx data needs {key!r}")
+        if ("test_images" in data) != ("test_labels" in data):
+            raise ConfigError("idx data takes test_images and test_labels "
+                              "together")
         for key in ("train_images", "train_labels", "test_images",
                     "test_labels"):
             # open() would take an integer for a file descriptor
             if key in data and not isinstance(data[key], str):
                 raise ConfigError(f"data.{key} must be a file path, "
                                   f"got {data[key]!r}")
-    elif kind == "synthetic":
+        return dict(data)
+    if kind == "synthetic":
         defaults = {"n": (2000, int), "test_n": (500, int), "dim": (32, int),
                     "classes": (4, int), "separation": (3.0, float),
                     "data_seed": (0, int)}
-        data = {"kind": "synthetic", **{
-            key: _number(data.get(key, default), number, f"data.{key}")
+        return {"kind": "synthetic", **{
+            key: _number(data.get(key, default), number, f"data.{key}",
+                         minimum=0 if key == "data_seed" else None)
             for key, (default, number) in defaults.items()}}
-    else:
-        raise ConfigError("data.kind must be 'idx' or 'synthetic'")
-    out["data"] = data
+    raise ConfigError("data.kind must be 'idx' or 'synthetic'")
 
-    arch = out.get("architecture")
+
+def _resolve_mode(mode, flag):
+    """The fitting mode, "closed_form" or an IterativeConfig, and its
+    resolved entry."""
+    if isinstance(mode, str):
+        mode = {"name": mode}
+    if not isinstance(mode, dict):
+        raise ConfigError(f"mode must be a name or an object, got {mode!r}")
+    fields = dataclasses.fields(IterativeConfig)
+    _check_keys(mode, {"name", *(f.name for f in fields)}, "mode")
+    name = flag if flag is not None else mode.get("name")
+    if name == "closed_form":
+        return name, {"name": name}
+    if name != "iterative":
+        raise ConfigError(f"unknown mode {name!r}")
+    values = {f.name: _field_value(mode.get(f.name, f.default), f,
+                                   f"mode.{f.name}") for f in fields}
+    return _build(IterativeConfig, values, "mode"), {"name": name, **values}
+
+
+def _resolve_layer(entry, idx, top):
+    """A layer's spec and its resolved entry, every field it takes filled:
+    per-layer values, then the top-level ones, then the dataclass defaults."""
+    where = f"architecture[{idx}]"
+    if not isinstance(entry, dict) or "kind" not in entry:
+        raise ConfigError(f"{where} needs a 'kind'")
+    kind = entry["kind"]
+    if kind not in LAYER_KINDS:
+        raise ConfigError(f"{where} has unknown kind {kind!r}")
+    classes = LAYER_CLASSES.get(kind, (LayerSpec, TargetGenSpec, RidgeConfig))
+    fields = {f.name: f for cls in classes for f in dataclasses.fields(cls)
+              if f.name not in ("kind", "target", "ridge")}
+    _check_keys(entry, {"kind", *fields}, where)
+    values = {name: f.default for name, f in fields.items()}
+    if kind == "output":
+        values["lam"] = top["lambda_output"]
+    elif kind != "global_avg_pool":
+        values["q_seed"], values["u_seed"] = derive_layer_seeds(top["seed"], idx)
+        values.update(activation="relu", g=top["target_g"], alpha=top["alpha"],
+                      lam=top["lambda_hidden"],
+                      kernel=(1, 1) if kind == "conv2d" else (1,))
+    values.update({key: _field_value(value, fields[key], f"{where}.{key}")
+                   for key, value in entry.items() if key != "kind"})
+    parts = {key: _build(cls, values, where) for key, cls in
+             (("target", TargetGenSpec), ("ridge", RidgeConfig))
+             if cls in classes}
+    spec = _build(LayerSpec, {"kind": kind, **values, **parts}, where)
+    return spec, {"kind": kind, **values}
+
+
+def resolve_config(cfg, args, reads=TOP_KEYS):
+    """(resolved, specs, mode) from config ``cfg`` and the flags in ``args``.
+
+    ``resolved``, what resolved_config.json holds, has the ``reads`` keys
+    with defaults filled, flags applied and every seed made explicit.
+    ``specs`` and ``mode`` are None unless ``reads`` takes in the
+    architecture. Any bad value raises ConfigError.
+    """
+    _check_keys(cfg, TOP_KEYS, "config")
+    out = {"seed": _number(args.seed if args.seed is not None
+                           else cfg.get("seed", 0), int, "seed", minimum=0),
+           "data": _resolve_data(cfg.get("data", {})),
+           "out": args.out if args.out is not None else cfg.get("out", "fp_run")}
+    if not isinstance(out["out"], str):
+        raise ConfigError(f"out must be a directory path, got {out['out']!r}")
+    if "target_g" in reads:
+        out["target_g"] = cfg.get("target_g", TargetGenSpec.g)
+        if out["target_g"] not in TARGET_NONLINEARITIES:
+            raise ConfigError(f"target_g must be one of {TARGET_NONLINEARITIES}")
+        out["batch_size"] = _number(cfg.get("batch_size", BATCH_SIZE), int,
+                                    "batch_size", minimum=1)
+    if "architecture" not in reads:
+        return out, None, None
+    out["alpha"] = _number(cfg.get("alpha", TargetGenSpec.alpha), float,
+                           "alpha")
+    for key, flag, default in (
+            ("lambda_hidden", args.lambda_hidden, HIDDEN_LAMBDA),
+            ("lambda_output", args.lambda_output, OUTPUT_LAMBDA)):
+        out[key] = _number(flag if flag is not None else cfg.get(key, default),
+                           float, key)
+    mode, out["mode"] = _resolve_mode(cfg.get("mode", "closed_form"), args.mode)
+    arch = cfg.get("architecture")
     if not isinstance(arch, list) or not arch:
         raise ConfigError("architecture must be a non-empty list of layers")
-    resolved_arch = []
-    for idx, entry in enumerate(arch):
-        if not isinstance(entry, dict) or "kind" not in entry:
-            raise ConfigError(f"architecture[{idx}] needs a 'kind'")
-        where = f"architecture[{idx}]"
-        _check_keys(entry, LAYER_KEYS, where)
-        entry = dict(entry)
-        kind = entry["kind"]
-        for key, number in LAYER_NUMBERS.items():
-            if key in entry:
-                entry[key] = _number(entry[key], number, f"{where}.{key}")
-        if "kernel" in entry:
-            if not isinstance(entry["kernel"], list):
-                raise ConfigError(f"{where}.kernel must be a list of integers")
-            entry["kernel"] = [_number(k, int, f"{where}.kernel")
-                               for k in entry["kernel"]]
-        if kind in ("dense", "conv1d", "conv2d"):
-            q_seed, u_seed = derive_layer_seeds(out["seed"], idx)
-            entry.setdefault("g", out["target_g"])
-            entry.setdefault("alpha", out["alpha"])
-            entry.setdefault("q_seed", q_seed)
-            entry.setdefault("u_seed", u_seed)
-            entry.setdefault("lam", out["lambda_hidden"])
-            entry.setdefault("stride", 1)
-            entry.setdefault("activation", "relu")
-            entry.setdefault("kernel", [1] if kind != "conv2d" else [1, 1])
-        elif kind == "output":
-            entry.setdefault("lam", out["lambda_output"])
-        elif kind != "global_avg_pool":
-            raise ConfigError(f"{where} has unknown kind {kind!r}")
-        resolved_arch.append(entry)
-    kinds = [e["kind"] for e in resolved_arch]
+    specs, entries = zip(*(_resolve_layer(entry, idx, out)
+                           for idx, entry in enumerate(arch)))
+    kinds = [spec.kind for spec in specs]
     if kinds.count("output") != 1 or kinds[-1] != "output":
         raise ConfigError("architecture needs exactly one output layer, last")
-    out["architecture"] = resolved_arch
-    return out
-
-
-def specs_from_config(resolved):
-    specs = []
-    for entry in resolved["architecture"]:
-        kind = entry["kind"]
-        try:
-            if kind in ("dense", "conv1d", "conv2d"):
-                kernel = entry.get("kernel", [1])
-                target = TargetGenSpec(g=entry["g"], alpha=entry["alpha"],
-                                       q_seed=entry["q_seed"],
-                                       u_seed=entry["u_seed"])
-                specs.append(LayerSpec(kind, out_channels=entry["out_channels"],
-                                       kernel=tuple(kernel),
-                                       stride=entry["stride"],
-                                       activation=entry["activation"],
-                                       target=target,
-                                       ridge=RidgeConfig(lam=entry["lam"],
-                                                         tau=entry.get("tau", 1.0))))
-            elif kind == "global_avg_pool":
-                specs.append(LayerSpec("global_avg_pool"))
-            else:
-                specs.append(LayerSpec("output",
-                                       ridge=RidgeConfig(lam=entry["lam"],
-                                                         tau=entry.get("tau", 1.0))))
-        except (KeyError, ValueError) as e:
-            raise ConfigError(f"bad layer entry {entry}: {e}") from e
-    return specs
+    out["architecture"] = list(entries)
+    return out, list(specs), mode
 
 
 def build_datasets(data_cfg):
@@ -235,27 +242,15 @@ def build_datasets(data_cfg):
         train = load_idx(data_cfg["train_images"], data_cfg["train_labels"])
         test = None
         if "test_images" in data_cfg:
-            if "test_labels" not in data_cfg:
-                raise ConfigError("test_images given without test_labels")
             test = load_idx(data_cfg["test_images"], data_cfg["test_labels"])
         return train, test
-    rng = SeededRng(data_cfg["data_seed"])
-    train = synthetic_gaussian_task(data_cfg["n"], data_cfg["dim"],
-                                    data_cfg["classes"],
-                                    data_cfg["separation"], rng)
+    task = (data_cfg["dim"], data_cfg["classes"], data_cfg["separation"],
+            SeededRng(data_cfg["data_seed"]))
+    train = synthetic_gaussian_task(data_cfg["n"], *task)
     test = None
     if data_cfg["test_n"] > 0:
-        test = synthetic_gaussian_task(data_cfg["test_n"], data_cfg["dim"],
-                                       data_cfg["classes"],
-                                       data_cfg["separation"], rng)
+        test = synthetic_gaussian_task(data_cfg["test_n"], *task)
     return train, test
-
-
-def _mode_object(mode_cfg):
-    if mode_cfg["name"] == "closed_form":
-        return "closed_form"
-    return IterativeConfig(eta=mode_cfg["eta"], epochs=mode_cfg["epochs"],
-                           batch=mode_cfg["batch"])
 
 
 def _write_resolved(resolved, out_dir):
@@ -285,23 +280,30 @@ def _write_costs(ledger, out_dir):
     return path
 
 
-def _require_config(args):
+def _require_config(args, reads=TOP_KEYS):
     if args.config is None:
         raise ConfigError("this subcommand needs --config")
-    return resolve_config(_load_config(args.config), args)
+    return resolve_config(_load_config(args.config), args, reads)
+
+
+def _open_run(resolved, needs_test=None):
+    """(train, test, out_dir): the configured splits, then the output
+    directory made, so a failure to load data writes nothing.
+    ``needs_test`` names a subcommand that needs a test split."""
+    train, test = build_datasets(resolved["data"])
+    if needs_test and test is None:
+        raise ConfigError(f"{needs_test} needs a test split")
+    os.makedirs(resolved["out"], exist_ok=True)
+    return train, test, resolved["out"]
 
 
 def cmd_train(args):
-    resolved = _require_config(args)
-    out_dir = resolved["out"]
-    os.makedirs(out_dir, exist_ok=True)
+    resolved, specs, mode = _require_config(args)
+    train, test, out_dir = _open_run(resolved)
     _write_resolved(resolved, out_dir)
-    train, test = build_datasets(resolved["data"])
-    specs = specs_from_config(resolved)
     ledger = CostLedger()
     with accounting.track(ledger):
-        net = fit_method(args.method, specs, train,
-                         mode=_mode_object(resolved["mode"]),
+        net = fit_method(args.method, specs, train, mode=mode,
                          batch_size=resolved["batch_size"],
                          seed=resolved["seed"])
     save_network(net, os.path.join(out_dir, "model.fpk"))
@@ -322,11 +324,9 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    resolved = _require_config(args)
-    out_dir = resolved["out"]
-    os.makedirs(out_dir, exist_ok=True)
+    resolved, _, _ = _require_config(args, EVAL_READS)
     net = load_network(args.checkpoint)
-    train, test = build_datasets(resolved["data"])
+    train, test, out_dir = _open_run(resolved)
     ds = test if test is not None else train
     scores, _ = predict(net, ds.x)
     rep = metric_report(scores, ds.y, seed=resolved["seed"])
@@ -366,15 +366,10 @@ def cmd_explain(args):
 
 
 def cmd_bench(args):
-    resolved = _require_config(args)
-    out_dir = resolved["out"]
-    os.makedirs(out_dir, exist_ok=True)
+    resolved, specs, mode = _require_config(args)
+    train, test, out_dir = _open_run(resolved, needs_test="bench")
     _write_resolved(resolved, out_dir)
-    train, test = build_datasets(resolved["data"])
-    if test is None:
-        raise ConfigError("bench needs a test split")
-    rep, ledger = run_benchmark(specs_from_config(resolved), train, test,
-                                mode=_mode_object(resolved["mode"]),
+    rep, ledger = run_benchmark(specs, train, test, mode=mode,
                                 batch_size=resolved["batch_size"],
                                 seed=resolved["seed"], method=args.method)
     _write_metrics([("test", rep)], out_dir)
@@ -384,22 +379,23 @@ def cmd_bench(args):
     return 0
 
 
-def _int_list(text):
+def _int_list(text, flag, minimum=1):
+    """The integers of ``flag``'s comma-separated ``text``, each at least
+    ``minimum``."""
     try:
-        return [int(v) for v in text.split(",") if v]
+        values = [int(v) for v in text.split(",") if v]
     except ValueError as e:
-        raise ConfigError(f"expected a comma-separated integer list: {text!r}") from e
+        raise ConfigError(f"{flag} expects a comma-separated integer list, "
+                          f"got {text!r}") from e
+    return tuple(_number(v, int, f"{flag} entries", minimum) for v in values)
 
 
 def cmd_bottleneck_sweep(args):
-    resolved = _require_config(args)
-    out_dir = resolved["out"]
-    os.makedirs(out_dir, exist_ok=True)
-    train, test = build_datasets(resolved["data"])
-    if test is None:
-        raise ConfigError("bottleneck-sweep needs a test split")
-    rows = bottleneck_sweep(train, test, widths=tuple(_int_list(args.widths)),
-                            base_widths=tuple(_int_list(args.base_widths)),
+    resolved, _, _ = _require_config(args, SWEEP_READS)
+    widths = _int_list(args.widths, "--widths")
+    base_widths = _int_list(args.base_widths, "--base-widths")
+    train, test, out_dir = _open_run(resolved, needs_test="bottleneck-sweep")
+    rows = bottleneck_sweep(train, test, widths=widths, base_widths=base_widths,
                             activation=args.activation,
                             g=resolved["target_g"], seed=resolved["seed"],
                             batch_size=resolved["batch_size"])
@@ -410,15 +406,12 @@ def cmd_bottleneck_sweep(args):
 
 
 def cmd_fewshot_sweep(args):
-    resolved = _require_config(args)
-    out_dir = resolved["out"]
-    os.makedirs(out_dir, exist_ok=True)
-    train, test = build_datasets(resolved["data"])
-    if test is None:
-        raise ConfigError("fewshot-sweep needs a test split")
-    rows = fewshot_sweep(train, test, shots=tuple(_int_list(args.shots)),
-                         seeds=tuple(_int_list(args.seeds)),
-                         hidden=tuple(_int_list(args.hidden)),
+    resolved, _, _ = _require_config(args, SWEEP_READS)
+    shots = _int_list(args.shots, "--shots")
+    seeds = _int_list(args.seeds, "--seeds", minimum=0)
+    hidden = _int_list(args.hidden, "--hidden")
+    train, test, out_dir = _open_run(resolved, needs_test="fewshot-sweep")
+    rows = fewshot_sweep(train, test, shots=shots, seeds=seeds, hidden=hidden,
                          activation=args.activation, g=resolved["target_g"],
                          batch_size=resolved["batch_size"],
                          method=args.method)
@@ -430,6 +423,9 @@ def cmd_fewshot_sweep(args):
 
 # Flags beyond the common ones, by the subcommands that take them
 FLAGS = {
+    "--lambda-hidden": {"type": float, "default": None},
+    "--lambda-output": {"type": float, "default": None},
+    "--mode": {"choices": ("closed_form", "iterative"), "default": None},
     "--method": {"choices": METHODS, "default": "fp"},
     "--checkpoint": {"required": True},
     "--input": {"required": True, "help": "IDX image file"},
@@ -452,22 +448,19 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run configuration")
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--lambda-hidden", type=float, default=None)
-    common.add_argument("--lambda-output", type=float, default=None)
-    common.add_argument("--mode", choices=("closed_form", "iterative"),
-                        default=None)
     common.add_argument("--out", **FLAGS["--out"])
+    fit = ["--lambda-hidden", "--lambda-output", "--mode", "--method"]
 
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func, parents, flags, help_ in (
-            ("train", cmd_train, [common], ["--method"],
+            ("train", cmd_train, [common], fit,
              "fit a network and write model.fpk"),
             ("eval", cmd_eval, [common], ["--checkpoint"],
              "score a checkpoint on the configured data"),
             ("explain", cmd_explain, [],
              ["--checkpoint", "--input", "--layer", "--sample", "--out"],
              "write per-class evidence maps for one layer"),
-            ("bench", cmd_bench, [common], ["--method"],
+            ("bench", cmd_bench, [common], fit,
              "one benchmark run"),
             ("bottleneck-sweep", cmd_bottleneck_sweep, [common],
              ["--widths", "--base-widths", "--activation"],
@@ -487,7 +480,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, UnsupportedNonlinearityError, ValueError) as e:
+    except (ConfigError, UnsupportedNonlinearityError, ValueError,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (IdxFormatError, DataConsistencyError, CheckpointFormatError) as e:
@@ -497,9 +491,6 @@ def main(argv=None):
             UndefinedMetricError, DivergenceError) as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return 4
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

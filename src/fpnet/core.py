@@ -81,6 +81,9 @@ class TargetGenSpec:
                 f"g must be one of {TARGET_NONLINEARITIES}, got {self.g!r}")
         if not np.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
+        if min(self.q_seed, self.u_seed) < 0:
+            raise ValueError(f"q_seed and u_seed must be >= 0, got "
+                             f"{self.q_seed} and {self.u_seed}")
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,26 @@ class TestTrain:
         assert ((out1 / "model.fpk").read_bytes()
                 == (out2 / "model.fpk").read_bytes())
 
+    def test_replay_from_resolved_config_without_tau(self, tmp_path):
+        # resolved configs once left tau out unless a layer set it
+        cfg = _write_config(
+            tmp_path / "cfg.json",
+            architecture=[{"kind": "dense", "out_channels": 16, "tau": 0.5},
+                          {"kind": "dense", "out_channels": 8},
+                          {"kind": "output"}])
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["train", "--config", str(cfg), "--out", str(out1)]) == 0
+        resolved = json.loads((out1 / "resolved_config.json").read_text())
+        assert [e["tau"] for e in resolved["architecture"]] == [0.5, 1.0, 1.0]
+        for entry in resolved["architecture"][1:]:
+            del entry["tau"]
+        stripped = tmp_path / "stripped.json"
+        stripped.write_text(json.dumps(resolved))
+        assert main(["train", "--config", str(stripped),
+                     "--out", str(out2)]) == 0
+        assert ((out1 / "model.fpk").read_bytes()
+                == (out2 / "model.fpk").read_bytes())
+
     def test_seed_flag_overrides_and_is_materialised(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json", seed=3)
         out = tmp_path / "run"
@@ -219,6 +239,22 @@ _BAD_VALUES = [
     (("data",), {"kind": "idx", "train_images": 0, "train_labels": "l"}),
     (("data",), {"kind": "idx", "train_images": "i", "train_labels": "l",
                  "test_images": None, "test_labels": "t"}),
+    # values the spec dataclasses reject, checked before anything is written
+    (("architecture", 0, "activation"), "bogus"),
+    (("architecture", 0), {"kind": "conv2d", "out_channels": 4, "kernel": [2]}),
+    (("architecture", 0, "lam"), -1), (("architecture", 1, "tau"), 0),
+    (("architecture", 0, "stride"), 0), (("architecture", 0, "out_channels"), 0),
+    (("architecture", 0, "g"), "relu"),
+    (("mode", "eta"), -1), (("mode", "eta"), 0), (("mode", "batch"), 0),
+    # negative seeds
+    (("seed",), -3), (("data", "data_seed"), -1),
+    (("architecture", 0, "q_seed"), -1), (("architecture", 0, "u_seed"), -1),
+    # keys the layer kind does not read
+    (("architecture", 1, "activation"), "tanh"), (("architecture", 1, "g"), "sign"),
+    (("architecture", 1, "out_channels"), 3),
+    (("architecture", 0), {"kind": "global_avg_pool", "lam": 1.0}),
+    (("data",), {"kind": "idx", "train_images": "i", "train_labels": "l",
+                 "test_images": "t"}),
 ]
 
 
@@ -243,6 +279,32 @@ class TestConfigValues:
         assert "Traceback" not in err
         assert err.startswith("error: ")
         assert not (out / "resolved_config.json").exists()
+
+    def test_error_names_layer_and_key(self, tmp_path, capsys):
+        cfg = _write_config(
+            tmp_path / "cfg.json",
+            architecture=[{"kind": "dense", "out_channels": 8},
+                          {"kind": "output", "activation": "tanh"}])
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert ("unknown key 'activation' in architecture[1]"
+                in capsys.readouterr().err)
+        cfg = _write_config(tmp_path / "cfg.json", mode={"name": "iterative",
+                                                         "eta": 0})
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "mode: eta must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--seed", "-3"], ["bench", "--seed", "-1"],
+        ["fewshot-sweep", "--seeds", "0,-1", "--shots", "5", "--hidden", "4"],
+        ["bottleneck-sweep", "--widths", "4,0"]])
+    def test_bad_flag_value_writes_nothing(self, tmp_path, capsys, argv):
+        cfg = _write_config(tmp_path / "cfg.json")
+        out = tmp_path / "o"
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_out_must_be_a_path(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "cfg.json", out=[1])
@@ -386,6 +448,27 @@ class TestSweeps:
         assert len(lines) == 1 + 4
         assert lines[0].startswith("method,shots,seed,")
 
+    def test_config_without_architecture(self, tmp_path):
+        # eval and the sweeps read no architecture, mode or ridge strengths
+        cfg = _write_config(tmp_path / "cfg.json")
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+        body = json.loads(cfg.read_text())
+        del body["architecture"]
+        body.update(mode="bogus", lambda_hidden=None)
+        cfg.write_text(json.dumps(body))
+        for argv, written in (
+                (["eval", "--checkpoint", str(run / "model.fpk")],
+                 "metrics.csv"),
+                (["bottleneck-sweep", "--widths", "4", "--base-widths", "6"],
+                 "bottleneck.csv"),
+                (["fewshot-sweep", "--shots", "5", "--seeds", "0",
+                  "--hidden", "4"], "fewshot.csv")):
+            out = tmp_path / argv[0]
+            assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+            assert (out / written).exists()
+            assert not (out / "resolved_config.json").exists()
+
     def test_plain_bench_single_run(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "cfg.json")
         out = tmp_path / "run"
@@ -397,7 +480,8 @@ class TestSweeps:
 
 # Flags a subcommand does not take although a sibling does: the sweep
 # options and --suite on bench, the config flags on explain, which reads no
-# config, and each sweep's options on the other sweep
+# config, each sweep's options on the other sweep, and the fitting flags on
+# eval and the sweeps, which fit no configured architecture
 DROPPED_FLAGS = [
     *[("bench", f) for f in ("--suite", "--widths", "--base-widths",
                              "--shots", "--seeds", "--hidden", "--activation")],
@@ -406,13 +490,16 @@ DROPPED_FLAGS = [
     *[("bottleneck-sweep", f) for f in ("--shots", "--seeds", "--hidden",
                                         "--method")],
     *[("fewshot-sweep", f) for f in ("--widths", "--base-widths")],
+    *[(command, f) for command in ("eval", "bottleneck-sweep", "fewshot-sweep")
+      for f in ("--lambda-hidden", "--lambda-output", "--mode")],
 ]
 
 
 @pytest.mark.parametrize("command, flag", DROPPED_FLAGS)
 def test_dropped_flag_is_a_usage_error(capsys, command, flag):
-    required = (["--checkpoint", "m.fpk", "--input", "x.idx", "--layer", "0"]
-                if command == "explain" else [])
+    required = {"explain": ["--checkpoint", "m.fpk", "--input", "x.idx",
+                            "--layer", "0"],
+                "eval": ["--checkpoint", "m.fpk"]}.get(command, [])
     with pytest.raises(SystemExit) as exc:
         main([command, *required, flag, "1"])
     assert exc.value.code == 2

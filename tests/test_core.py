@@ -62,6 +62,11 @@ class TestGenerateTargets:
         with pytest.raises(ValueError):
             TargetGenSpec(g="step")
 
+    @pytest.mark.parametrize("seeds", [{"q_seed": -1}, {"u_seed": -2}])
+    def test_negative_seed_rejected(self, seeds):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            TargetGenSpec(**seeds)
+
 
 class TestGramAccumulator:
     def test_single_row_outer_product(self):
