@@ -135,13 +135,14 @@ def _resolve_data(data):
                                   f"got {data[key]!r}")
         return dict(data)
     if kind == "synthetic":
-        defaults = {"n": (2000, int), "test_n": (500, int), "dim": (32, int),
-                    "classes": (4, int), "separation": (3.0, float),
-                    "data_seed": (0, int)}
+        # (default, type, minimum); metrics need two classes
+        fields = {"n": (2000, int, None), "test_n": (500, int, 0),
+                  "dim": (32, int, None), "classes": (4, int, 2),
+                  "separation": (3.0, float, None), "data_seed": (0, int, 0)}
         return {"kind": "synthetic", **{
             key: _number(data.get(key, default), number, f"data.{key}",
-                         minimum=0 if key == "data_seed" else None)
-            for key, (default, number) in defaults.items()}}
+                         minimum=minimum)
+            for key, (default, number, minimum) in fields.items()}}
     raise ConfigError("data.kind must be 'idx' or 'synthetic'")
 
 

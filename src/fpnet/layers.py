@@ -39,13 +39,14 @@ from .linalg import SeededRng, as_matrix, gaussian_matrix, sign_in_place
 LAYER_KINDS = ("dense", "conv1d", "conv2d", "global_avg_pool", "output")
 ACTIVATIONS = ("relu", "sign", "tanh", "identity", "mod2", "square")
 
-# Working set that inference and closed-form fitting aim for: rows per batch
-# are this (for fitting, at most the bytes of the largest Gram matrix) divided
-# by the bytes per sample of the widest intermediate. On the 28x28 conv
-# benchmark net (about 60 images a batch) predict runs no slower than as one
-# full batch; dense splits of 2000 rows of width 1000, which fixed 256-row
-# batches slowed, stay a single batch; and a 784 -> 1000 x 3 fit streams 1001
-# rows a batch, whose Gram and target products run faster than 256-row ones.
+# Working set of every inference and closed-form fit batch: rows per batch
+# are at most this divided by the bytes per sample of the widest
+# intermediate (``_budget_rows``). Fits grow small batches up to the bytes of
+# their largest Gram matrix, never past this bound. On the 28x28 conv
+# benchmark net a batch is 60 images, for predict (no slower than one full
+# batch) and for fitting alike; dense splits of 2000 rows of width 1000 stay
+# a single batch; and a 784 -> 1000 x 3 fit streams 1001 rows a batch, whose
+# Gram and target products run faster than 256-row ones.
 INFERENCE_BUDGET_BYTES = 16 * 2**20
 
 
@@ -441,12 +442,14 @@ def fit_network(specs, dataset, mode="closed_form", batch_size=256,
     dataset : anything with .x / .y / .class_names, or an (x, y) pair.
     mode : "closed_form" or an IterativeConfig, whose batch size then
         replaces ``batch_size``.
-    batch_size : the fewest rows a closed-form fit streams per batch.
-        Batches of narrow rows grow until their widest intermediate (as
-        ``inference_batch_rows`` sizes it) fills INFERENCE_BUDGET_BYTES or
-        the largest Gram matrix the fit holds, whichever is smaller. The
-        Gram sums, and so the weights up to rounding, do not depend on
-        where batches end, and the products run faster on taller batches.
+    batch_size : rows a closed-form fit streams per batch, within two
+        bounds. Batches of narrow rows grow until their widest intermediate
+        (as ``inference_batch_rows`` sizes it) holds as many floats as the
+        largest Gram matrix the fit accumulates; and no batch's widest
+        intermediate exceeds INFERENCE_BUDGET_BYTES, which caps
+        ``batch_size`` too (60 images on the 28x28 conv benchmark net, 1001
+        rows on a 784 -> 1000 x 3 MLP). The Gram sums, and so the weights up
+        to rounding, do not depend on where batches end.
     targets : the hidden layers' target source, as in ``fit_layer``;
         Forward Projection's ``generate_targets`` by default.
     """
@@ -464,10 +467,10 @@ def fit_network(specs, dataset, mode="closed_form", batch_size=256,
              for s in specs), x.shape[1:])
         if widths is not None:
             widest, gram = widths
-            # the Gram sums do not grow with n; a batch no larger than them
-            # keeps the fit's memory a fixed multiple of them
-            budget = min(INFERENCE_BUDGET_BYTES, 8 * gram * gram)
-            batch_size = max(batch_size, budget // (8 * widest))
+            # grown no larger than the Gram sums, which do not grow with n,
+            # and never past the working-set budget
+            batch_size = min(max(batch_size, gram * gram // widest),
+                             _budget_rows(widest))
     raw = make_batches(x, y, batch_size)
     if not class_names:
         class_names = [str(i) for i in range(y.shape[1])]
@@ -535,6 +538,12 @@ def _sample_widths(steps, sample_shape):
     return (widest, gram) if widest else None
 
 
+def _budget_rows(widest):
+    """Rows whose ``widest`` floats per row fit INFERENCE_BUDGET_BYTES, at
+    least 1."""
+    return max(1, INFERENCE_BUDGET_BYTES // (8 * widest))
+
+
 def inference_batch_rows(layers, sample_shape):
     """Rows per batch that keep inference through ``layers`` within
     INFERENCE_BUDGET_BYTES, at least 1.
@@ -553,9 +562,7 @@ def inference_batch_rows(layers, sample_shape):
         else:
             return None
     widths = _sample_widths(steps, sample_shape)
-    if widths is None:
-        return None
-    return max(1, INFERENCE_BUDGET_BYTES // (8 * widths[0]))
+    return None if widths is None else _budget_rows(widths[0])
 
 
 def _forward_all(layers, x):
@@ -569,16 +576,22 @@ def network_forward(net, x, upto=None):
     """Activations after the first ``upto`` layers (all layers if None).
 
     Inputs larger than one batch of ``inference_batch_rows`` rows run batch
-    by batch and the outputs are concatenated, so memory stays bounded by
-    the layers' working set rather than growing with the number of rows.
+    by batch, each batch written straight into the output, which keeps the
+    first batch's memory layout; so memory beyond the output stays bounded
+    by the layers' working set rather than growing with the number of rows.
     """
     layers = net.layers if upto is None else net.layers[:upto]
     x = np.asarray(x)
     rows = inference_batch_rows(layers, x.shape[1:]) if x.ndim >= 2 else None
     if rows is None or x.shape[0] <= rows:
         return _forward_all(layers, x)
-    return np.concatenate([_forward_all(layers, x[start:start + rows])
-                           for start in range(0, x.shape[0], rows)])
+    first = _forward_all(layers, x[:rows])
+    out = np.empty_like(first, shape=(x.shape[0], *first.shape[1:]))
+    out[:rows] = first
+    del first
+    for start in range(rows, x.shape[0], rows):
+        out[start:start + rows] = _forward_all(layers, x[start:start + rows])
+    return out
 
 
 def predict(net, x):

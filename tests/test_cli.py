@@ -224,6 +224,7 @@ _BAD_VALUES = [
     (("mode", "eta"), _HUGE),
     (("data", "n"), None), (("data", "n"), _HUGE),
     (("data", "classes"), []), (("data", "separation"), _HUGE),
+    (("data", "test_n"), -1), (("data", "classes"), 1),
     (("data", "separation"), {}),
     (("architecture", 0, "out_channels"), None),
     (("architecture", 0, "out_channels"), _HUGE),

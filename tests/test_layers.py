@@ -403,13 +403,20 @@ def _random_net(specs, shapes, seed=0):
     return Network(layers, labels, [str(c) for c in range(labels)])
 
 
+def _conv_specs():
+    """The benchmark's conv stack: conv2d(32, 5x5) -> conv2d(64, 3x3, stride
+    2) -> pool -> output on 1x28x28 images; the widest intermediate is layer
+    1's window matrix."""
+    return [LayerSpec("conv2d", 32, (5, 5), 1, "relu",
+                      TargetGenSpec(q_seed=1, u_seed=2)),
+            LayerSpec("conv2d", 64, (3, 3), 2, "relu",
+                      TargetGenSpec(q_seed=3, u_seed=4)),
+            LayerSpec("global_avg_pool"), LayerSpec("output")]
+
+
 def _conv_net(seed=0):
-    """conv2d(32, 5x5) -> conv2d(64, 3x3, stride 2) -> pool -> output on
-    1x28x28 images; the widest intermediate is layer 1's window matrix."""
-    specs = [LayerSpec("conv2d", 32, (5, 5), 1, "relu"),
-             LayerSpec("conv2d", 64, (3, 3), 2, "relu"),
-             LayerSpec("global_avg_pool"), LayerSpec("output")]
-    return _random_net(specs, [(25, 32), (288, 64), None, (65, 10)], seed)
+    return _random_net(_conv_specs(), [(25, 32), (288, 64), None, (65, 10)],
+                       seed)
 
 
 def _dense_net(seed=0):
@@ -508,6 +515,24 @@ class TestBatchedInference:
         with pytest.raises(ValueError, match="^input has no samples$"):
             predict(make_net(), np.zeros(shape))
 
+    def test_batched_output_written_once(self, monkeypatch):
+        # a small budget keeps each batch far below the output
+        monkeypatch.setattr(layers_mod, "INFERENCE_BUDGET_BYTES", 2**20)
+        net = _conv_net()
+        rows = inference_batch_rows(net.layers[:1], (1, 28, 28))
+        x = SeededRng(11).standard_normal((12 * rows + 3, 1, 28, 28))
+        ref = np.concatenate([forward(net.layers[0], x[i:i + rows])
+                              for i in range(0, len(x), rows)])
+        tracemalloc.start()
+        try:
+            out = network_forward(net, x, upto=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, ref)
+        assert out.strides == ref.strides
+        assert peak < 1.3 * out.nbytes
+
     def test_predict_memory_independent_of_rows(self):
         net = _conv_net()
         rows = inference_batch_rows(net.layers, (1, 28, 28))
@@ -554,13 +579,14 @@ class TestFitBatches:
         monkeypatch.setattr(layers_mod, "INFERENCE_BUDGET_BYTES", 8 * 65 * 20)
         assert _fit_batch_size(monkeypatch, specs, x, y, batch_size=16) == 20
 
-    def test_conv_windows_over_budget_keep_batch_size(self, monkeypatch):
-        specs = [LayerSpec("conv2d", 32, (5, 5), 1, "relu", TargetGenSpec()),
-                 LayerSpec("conv2d", 64, (3, 3), 2, "relu", TargetGenSpec()),
-                 LayerSpec("global_avg_pool"), LayerSpec("output")]
+    def test_conv_batches_capped_at_budget(self, monkeypatch):
+        specs = _conv_specs()
         x, y = np.zeros((4, 1, 28, 28)), one_hot(np.arange(4) % 2)
-        assert 8 * 11 * 11 * 32 * 9 * 256 > INFERENCE_BUDGET_BYTES
-        assert _fit_batch_size(monkeypatch, specs, x, y, batch_size=256) == 256
+        # layer 1's window matrix, 11x11 positions x 32 channels x 3x3, is
+        # the widest intermediate: 60 images fill the budget
+        assert INFERENCE_BUDGET_BYTES // (8 * 11 * 11 * 32 * 9) == 60
+        assert _fit_batch_size(monkeypatch, specs, x, y, batch_size=256) == 60
+        assert _fit_batch_size(monkeypatch, specs, x, y, batch_size=8) == 8
 
     def test_iterative_keeps_mode_batch(self, monkeypatch):
         specs, x, y = self._dense()
@@ -581,6 +607,46 @@ class TestFitBatches:
         for got, ref in zip(net.layers, (hidden, out)):
             rel = np.linalg.norm(got.w - ref.w) / np.linalg.norm(ref.w)
             assert rel <= 1e-8
+
+    def test_conv_budget_batches_match_fixed_stream(self, monkeypatch):
+        specs = _conv_specs()
+        x = SeededRng(23).standard_normal((300, 1, 28, 28))
+        y = one_hot(np.arange(300) % 2)
+        sizes = []
+        batches = layers_mod.make_batches
+
+        def recorded(x, y, batch_size):
+            sizes.append(batch_size)
+            return batches(x, y, batch_size)
+
+        monkeypatch.setattr(layers_mod, "make_batches", recorded)
+        net = fit_network(specs, (x, y), batch_size=256)
+        assert sizes == [60]
+        refs, a = [], x
+        for spec in specs:
+            if spec.kind == "global_avg_pool":
+                refs.append(TrainedLayer(spec))
+            else:
+                refs.append(fit_layer(spec, batches(a, y, 256)))
+            if spec.kind != "output":
+                a = forward(refs[-1], a)
+        for got, ref in zip(net.layers, refs):
+            if ref.w is not None:
+                rel = np.linalg.norm(got.w - ref.w) / np.linalg.norm(ref.w)
+                assert rel <= 1e-8
+
+    def test_conv_stack_fit_memory_within_budget(self):
+        # at batch_size 256 one batch of layer 1's window matrix alone would
+        # take 8 * 11 * 11 * 288 * 256 bytes, over four budgets
+        x = SeededRng(24).standard_normal((300, 1, 28, 28))
+        y = one_hot(np.arange(300) % 2)
+        tracemalloc.start()
+        try:
+            fit_network(_conv_specs(), (x, y), batch_size=256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * INFERENCE_BUDGET_BYTES
 
     def test_conv_fit_holds_one_batch_at_a_time(self):
         # a 64-image batch of 24x24 windows: 25 inputs and 24 targets a row
