@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import RidgeConfig, TargetGenSpec
 from .errors import CheckpointFormatError
-from .layers import LayerSpec, Network, TrainedLayer
+from .layers import CONV_DIMS, LayerSpec, Network, TrainedLayer
 
 MAGIC = b"FPCK"
 VERSION = 1
@@ -102,7 +102,7 @@ def _check_shapes(layers, label_dim):
                   and (width is None or spatial))
             spatial = False
         else:
-            conv = spec.kind in ("conv1d", "conv2d")
+            conv = spec.kind in CONV_DIMS
             out = label_dim if spec.kind == "output" else spec.out_channels
             fan_in, cols = tl.w.shape
             if conv:

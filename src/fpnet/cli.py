@@ -37,8 +37,9 @@ from .errors import (CheckpointFormatError, ConfigError, DataConsistencyError,
                      NotPositiveDefiniteError, RankDeficientError,
                      UndefinedMetricError, UnsupportedNonlinearityError)
 from .explain import explain_layer, input_origin, render_map, write_map_csv, write_map_pgm
-from .layers import (ACTIVATIONS, LAYER_KINDS, IterativeConfig, LayerSpec,
-                     fit_network, network_forward, potentials, predict)
+from .layers import (ACTIVATIONS, CONV_DIMS, LAYER_KINDS, IterativeConfig,
+                     LayerSpec, fit_network, network_forward, potentials,
+                     predict)
 from .linalg import SeededRng
 from .metrics import MetricReport, metric_report
 
@@ -185,7 +186,7 @@ def _resolve_layer(entry, idx, top):
         values["q_seed"], values["u_seed"] = derive_layer_seeds(top["seed"], idx)
         values.update(activation="relu", g=top["target_g"], alpha=top["alpha"],
                       lam=top["lambda_hidden"],
-                      kernel=(1, 1) if kind == "conv2d" else (1,))
+                      kernel=(1,) * CONV_DIMS.get(kind, 1))
     values.update({key: _field_value(value, fields[key], f"{where}.{key}")
                    for key, value in entry.items() if key != "kind"})
     parts = {key: _build(cls, values, where) for key, cls in
@@ -308,12 +309,9 @@ def cmd_train(args):
                          batch_size=resolved["batch_size"],
                          seed=resolved["seed"])
     save_network(net, os.path.join(out_dir, "model.fpk"))
-    rows = []
-    scores, _ = predict(net, train.x)
-    rows.append(("train", metric_report(scores, train.y, seed=resolved["seed"])))
-    if test is not None:
-        scores, _ = predict(net, test.x)
-        rows.append(("test", metric_report(scores, test.y, seed=resolved["seed"])))
+    rows = [(split, metric_report(predict(net, ds.x)[0], ds.y,
+                                  seed=resolved["seed"]))
+            for split, ds in (("train", train), ("test", test)) if ds is not None]
     _write_metrics(rows, out_dir)
     _write_costs(ledger, out_dir)
     with open(os.path.join(out_dir, "report.txt"), "w") as fh:
@@ -350,7 +348,7 @@ def cmd_explain(args):
     if not (0 <= k < len(net.layers)):
         raise ConfigError(f"--layer {k} out of range")
     layer = net.layers[k]
-    if layer.spec.kind not in ("dense", "conv1d", "conv2d"):
+    if layer.spec.kind in ("global_avg_pool", "output"):
         raise ConfigError(f"layer {k} is {layer.spec.kind}; nothing to explain")
     a_prev = network_forward(net, x, upto=k)
     z = potentials(layer, a_prev)

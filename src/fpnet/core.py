@@ -27,7 +27,7 @@ import numpy as np
 
 from . import accounting
 from .errors import DivergenceError
-from .linalg import as_matrix, ensure_finite, sign_in_place, spd_solve
+from .linalg import activate, as_matrix, ensure_finite, spd_solve
 
 TARGET_NONLINEARITIES = ("sign", "identity", "tanh")
 
@@ -41,22 +41,6 @@ RESCALE_THRESHOLD = 1e12
 # A batch loss this many times that of zero weights on the same batch means
 # the gradient steps diverge (eta above 2 / the batch Hessian's top eigenvalue).
 DIVERGENCE_RATIO = 1e6
-
-
-def apply_g(name, x, in_place=False):
-    """Element-wise target nonlinearity. sign maps 0 to exactly 0.
-
-    ``x`` is left unchanged unless ``in_place``, which overwrites a float
-    array with g(x).
-    """
-    out = x if in_place else None
-    if name == "sign":
-        return sign_in_place(x) if in_place else np.sign(x)
-    if name == "identity":
-        return x
-    if name == "tanh":
-        return np.tanh(x, out=out)
-    raise ValueError(f"unknown target nonlinearity {name!r}")
 
 
 @dataclass(frozen=True)
@@ -129,8 +113,8 @@ def generate_targets(a_prev, y, q, u, spec):
             f"q and u disagree on output width: {q.shape[1]} vs {u.shape[1]}")
     # both products are fresh, so g and the sums overwrite them: one
     # (B, m_out) temporary besides the result, with the same values
-    ztil = apply_g(spec.g, a_prev @ q, in_place=True)
-    ztil += apply_g(spec.g, y @ u, in_place=True)
+    ztil = activate(spec.g, a_prev @ q, in_place=True)
+    ztil += activate(spec.g, y @ u, in_place=True)
     if spec.alpha != 0.0:
         ztil += spec.alpha
     accounting.add_macs("target_gen",

@@ -7,6 +7,7 @@ float64 scaled by 1/255; labels become one-hot rows over max_label + 1
 classes.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -60,40 +61,35 @@ def _read_exact(buf, offset, count, path):
     return buf[offset:offset + count]
 
 
-def read_idx_images(path):
-    """Raw (N, rows, cols) uint8 pixels from an IDX image file."""
+def _read_idx(path, magic, what):
+    """Raw uint8 array of an IDX file with magic ``magic``, whose low byte
+    counts the dimensions: the sample count (>= 0), then positive extents."""
     with open(path, "rb") as fh:
         buf = fh.read()
-    (magic,) = struct.unpack(">i", _read_exact(buf, 0, 4, path))
-    if magic != IMAGE_MAGIC:
+    (found,) = struct.unpack(">i", _read_exact(buf, 0, 4, path))
+    if found != magic:
         raise IdxFormatError(
-            f"{path}: bad image magic 0x{magic & 0xffffffff:08x}", offset=0)
-    n, rows, cols = struct.unpack(">iii", _read_exact(buf, 4, 12, path))
-    if n < 0 or rows <= 0 or cols <= 0:
-        raise IdxFormatError(f"{path}: bad dimensions {(n, rows, cols)}", offset=4)
-    payload = _read_exact(buf, 16, n * rows * cols, path)
-    if len(buf) != 16 + n * rows * cols:
-        raise IdxFormatError(f"{path}: trailing bytes after image data",
-                             offset=16 + n * rows * cols)
-    return np.frombuffer(payload, dtype=np.uint8).reshape(n, rows, cols)
+            f"{path}: bad {what} magic 0x{found & 0xffffffff:08x}", offset=0)
+    ndim = magic & 0xff
+    dims = struct.unpack(f">{ndim}i", _read_exact(buf, 4, 4 * ndim, path))
+    if dims[0] < 0 or any(d <= 0 for d in dims[1:]):
+        raise IdxFormatError(f"{path}: bad dimensions {dims}", offset=4)
+    start, size = 4 + 4 * ndim, math.prod(dims)
+    payload = _read_exact(buf, start, size, path)
+    if len(buf) != start + size:
+        raise IdxFormatError(f"{path}: trailing bytes after {what} data",
+                             offset=start + size)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
+
+
+def read_idx_images(path):
+    """Raw (N, rows, cols) uint8 pixels from an IDX image file."""
+    return _read_idx(path, IMAGE_MAGIC, "image")
 
 
 def read_idx_labels(path):
     """Raw (N,) uint8 labels from an IDX label file."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    (magic,) = struct.unpack(">i", _read_exact(buf, 0, 4, path))
-    if magic != LABEL_MAGIC:
-        raise IdxFormatError(
-            f"{path}: bad label magic 0x{magic & 0xffffffff:08x}", offset=0)
-    (n,) = struct.unpack(">i", _read_exact(buf, 4, 4, path))
-    if n < 0:
-        raise IdxFormatError(f"{path}: negative count {n}", offset=4)
-    payload = _read_exact(buf, 8, n, path)
-    if len(buf) != 8 + n:
-        raise IdxFormatError(f"{path}: trailing bytes after label data",
-                             offset=8 + n)
-    return np.frombuffer(payload, dtype=np.uint8)
+    return _read_idx(path, LABEL_MAGIC, "label")
 
 
 def one_hot(labels, n_classes=None):

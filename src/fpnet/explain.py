@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedNonlinearityError
-from .layers import conv_output_shape, _rows, _window_rows_order
-from .core import apply_g
-from .linalg import as_matrix, pseudo_inverse_rows
+from .layers import CONV_DIMS, conv_output_shape, _rows, _window_rows_order
+from .linalg import activate, as_matrix, pseudo_inverse_rows
 
 SUPPORTED_G = ("sign", "identity")
 
@@ -63,7 +62,7 @@ def input_origin(prefix_layers, ndim):
     """
     origin = identity_origin(ndim)
     for tl in prefix_layers:
-        if tl.spec.kind in ("conv1d", "conv2d"):
+        if tl.spec.kind in CONV_DIMS:
             origin = compose_origin(origin, tl.spec.kernel, tl.spec.stride)
         else:
             return None
@@ -91,15 +90,18 @@ class ExplanationMap:
         return self.values.shape[-1]
 
 
-def _inverse_pair(target):
+def _inverse_g(layer):
+    """g_inv of a layer that can be decoded: one with a supported target g
+    and both projections."""
+    target = layer.spec.target
     if target is None:
         raise ValueError("layer has no target generation spec")
     if target.g not in SUPPORTED_G:
         raise UnsupportedNonlinearityError(
             f"no inverse rule for target nonlinearity {target.g!r}")
-    if target.g == "sign":
-        return lambda v: np.tanh(v)
-    return lambda v: v
+    if layer.q is None or layer.u is None:
+        raise ValueError("layer is missing its target projections")
+    return np.tanh if target.g == "sign" else (lambda v: v)
 
 
 def _decode(layer, z, known, proj, pinv):
@@ -107,8 +109,8 @@ def _decode(layer, z, known, proj, pinv):
     per sample, or per window position of a conv layer's (N, m, *spatial') z."""
     target = layer.spec.target
     z_rows = np.moveaxis(z, 1, -1).reshape(known.shape[0], proj.shape[1])
-    g_known = apply_g(target.g, known @ proj, in_place=True)
-    return _inverse_pair(target)(z_rows - g_known - target.alpha) @ pinv
+    g_known = activate(target.g, known @ proj, in_place=True)
+    return _inverse_g(layer)(z_rows - g_known - target.alpha) @ pinv
 
 
 def explain_layer(layer, a_prev, z, origin=None, layer_index=0):
@@ -125,9 +127,7 @@ def explain_layer(layer, a_prev, z, origin=None, layer_index=0):
     ExplanationMap whose trailing axis indexes classes.
     """
     spec = layer.spec
-    _inverse_pair(spec.target)  # an unsupported g fails before any work
-    if layer.q is None or layer.u is None:
-        raise ValueError("layer is missing its target projections")
+    _inverse_g(layer)  # an undecodable layer fails before any work
     u_pinv = pseudo_inverse_rows(layer.u)
     rows, grid = _rows(spec, a_prev)
     n = rows.shape[0] // math.prod(grid)
@@ -152,19 +152,11 @@ def _windows_to_tensor(rows, n, channels, spatial, kernel, stride):
     acc = np.zeros((n, channels, *spatial))
     cnt = np.zeros(spatial)
     per = rows.reshape(n, *out_spatial, channels, *kernel)
-    if len(spatial) == 1:
-        (t,), (k,), (p,) = spatial, kernel, out_spatial
-        for j in range(p):
-            start = j * stride
-            acc[:, :, start:start + k] += per[:, j]
-            cnt[start:start + k] += 1.0
-    else:
-        (k1, k2), (p1, p2) = kernel, out_spatial
-        for j1 in range(p1):
-            for j2 in range(p2):
-                r, c = j1 * stride, j2 * stride
-                acc[:, :, r:r + k1, c:c + k2] += per[:, j1, j2]
-                cnt[r:r + k1, c:c + k2] += 1.0
+    for pos in np.ndindex(*out_spatial):  # raster order, as the windows
+        cells = tuple(slice(p * stride, p * stride + k)
+                      for p, k in zip(pos, kernel))
+        acc[(..., *cells)] += per[(slice(None), *pos)]
+        cnt[cells] += 1.0
     covered = cnt > 0
     acc[..., covered] /= cnt[covered]
     return acc
@@ -183,9 +175,7 @@ def reconstruct_input(layer, z, y):
     (N, C, *spatial) tensor (cells no window covers are left at zero).
     """
     spec = layer.spec
-    _inverse_pair(spec.target)  # an unsupported g fails before any work
-    if layer.q is None or layer.u is None:
-        raise ValueError("layer is missing its target projections")
+    _inverse_g(layer)  # an undecodable layer fails before any work
     q_pinv = pseudo_inverse_rows(layer.q)
     y = as_matrix(y, "y")
     z = np.asarray(z, dtype=np.float64)
@@ -235,9 +225,7 @@ def render_map(emap, class_index, upsample_to):
         else:
             src = np.floor(coords * p / n_out)
         picks.append(np.clip(src, 0, p - 1).astype(int))
-    if vals.ndim == 1:
-        return vals[picks[0]]
-    return vals[np.ix_(picks[0], picks[1])]
+    return vals[np.ix_(*picks)]
 
 
 def write_map_csv(grid, path):

@@ -8,6 +8,9 @@ conv1d input  : (N, C, T)
 conv2d input  : (N, C, H, W)
 conv output   : (N, out_channels, *spatial'), "valid" windows only, no padding.
 
+``CONV_DIMS`` gives each conv kind's number of spatial axes and kernel
+lengths; no other code tells conv1d from conv2d.
+
 Window matrices produced by ``extract_windows`` have one row per
 (sample, position) pair, sample-major then raster position order, and
 columns ordered channel-major: all kernel offsets of channel 0, then
@@ -26,6 +29,7 @@ the same rows and reorders q's rows to match them.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +38,11 @@ from . import accounting
 from .core import (HIDDEN_LAMBDA, OUTPUT_LAMBDA, GramAccumulator, RidgeConfig,
                    TargetGenSpec, fit_weights, generate_targets,
                    iterative_update)
-from .linalg import SeededRng, as_matrix, gaussian_matrix, sign_in_place
+from .linalg import SeededRng, activate, as_matrix, gaussian_matrix
 
 LAYER_KINDS = ("dense", "conv1d", "conv2d", "global_avg_pool", "output")
 ACTIVATIONS = ("relu", "sign", "tanh", "identity", "mod2", "square")
+CONV_DIMS = {"conv1d": 1, "conv2d": 2}
 
 # Working set of every inference and closed-form fit batch: rows per batch
 # are at most this divided by the bytes per sample of the widest
@@ -50,26 +55,12 @@ ACTIVATIONS = ("relu", "sign", "tanh", "identity", "mod2", "square")
 INFERENCE_BUDGET_BYTES = 16 * 2**20
 
 
-def activate(kind, z, in_place=False):
-    """Element-wise activation. sign maps 0 to exactly 0; mod2 wraps into [0, 2).
-
-    ``z`` is left unchanged unless ``in_place``, which overwrites a float
-    array with its activation.
-    """
-    out = z if in_place else None
-    if kind == "relu":
-        return np.maximum(z, 0.0, out=out)
-    if kind == "sign":
-        return sign_in_place(z) if in_place else np.sign(z)
-    if kind == "tanh":
-        return np.tanh(z, out=out)
-    if kind == "identity":
-        return z
-    if kind == "mod2":
-        return np.mod(z, 2.0, out=out)
-    if kind == "square":
-        return np.square(z, out=out)
-    raise ValueError(f"unknown activation {kind!r}")
+def _integer(value, name):
+    """``value`` as an int; a float, even an integral one, is a ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -95,19 +86,18 @@ class LayerSpec:
             raise ValueError(f"kind must be one of {LAYER_KINDS}, got {self.kind!r}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        kernel = self.kernel
-        if isinstance(kernel, int):
-            kernel = (kernel,)
-        kernel = tuple(int(k) for k in kernel)
+        kernel = tuple(_integer(k, "kernel entry")
+                       for k in np.atleast_1d(self.kernel))
         object.__setattr__(self, "kernel", kernel)
+        for name in ("stride", "out_channels"):
+            _integer(getattr(self, name), name)
         if any(k < 1 for k in kernel):
             raise ValueError(f"kernel entries must be >= 1, got {kernel}")
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if self.kind == "conv1d" and len(kernel) != 1:
-            raise ValueError("conv1d takes a single kernel length")
-        if self.kind == "conv2d" and len(kernel) != 2:
-            raise ValueError("conv2d takes a (k1, k2) kernel")
+        if self.kind in CONV_DIMS and len(kernel) != CONV_DIMS[self.kind]:
+            raise ValueError(f"{self.kind} takes {CONV_DIMS[self.kind]} "
+                             f"kernel lengths, got {kernel}")
         if self.kind in ("global_avg_pool", "output"):
             if self.target is not None:
                 raise ValueError(f"{self.kind} layers do not take target specs")
@@ -151,6 +141,7 @@ class Network:
         kinds = [tl.spec.kind for tl in self.layers]
         if kinds.count("output") != 1 or kinds[-1] != "output":
             raise ValueError("network needs exactly one output layer, last")
+        _integer(self.label_dim, "label_dim")
         if len(self.class_names) != self.label_dim:
             raise ValueError("class_names length must equal label_dim")
 
@@ -168,43 +159,31 @@ def conv_output_shape(spatial, kernel, stride):
 def extract_windows(x, kernel, stride=1, *, channels_last=False):
     """Flatten all valid convolution windows into a matrix.
 
-    x : (N, C, T) or (N, C, H, W).
+    x : (N, C, *spatial), one kernel length per spatial axis: (N, C, T) for
+        conv1d, (N, C, H, W) for conv2d.
     Returns (N * P, C * prod(kernel)) where P is the number of window
     positions; see the module docstring for row and column ordering.
     channels_last : order each row's columns kernel offset first and
-        channel last, (k, C) or (k1, k2, C), instead of channel-major.
+        channel last, (*kernel, C), instead of channel-major.
     """
     x = np.asarray(x, dtype=np.float64)
-    if isinstance(kernel, int):
-        kernel = (kernel,)
-    kernel = tuple(int(k) for k in kernel)
+    kernel = tuple(int(k) for k in np.atleast_1d(kernel))
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    if x.ndim == 3:
-        if len(kernel) != 1:
-            raise ValueError("1-D input takes a single kernel length")
-        (k,) = kernel
-        conv_output_shape(x.shape[2:], kernel, stride)
-        v = np.lib.stride_tricks.sliding_window_view(x, k, axis=2)
-        v = v[:, :, ::stride]                    # (N, C, P, k)
-        # (N, P, k, C) channels last, else (N, P, C, k)
-        v = v.transpose((0, 2, 3, 1) if channels_last else (0, 2, 1, 3))
-        n, p = v.shape[0], v.shape[1]
-        return v.reshape(n * p, x.shape[1] * k).astype(np.float64, copy=False)
-    if x.ndim == 4:
-        if len(kernel) != 2:
-            raise ValueError("2-D input takes a (k1, k2) kernel")
-        k1, k2 = kernel
-        conv_output_shape(x.shape[2:], kernel, stride)
-        v = np.lib.stride_tricks.sliding_window_view(x, (k1, k2), axis=(2, 3))
-        v = v[:, :, ::stride, ::stride]          # (N, C, P1, P2, k1, k2)
-        # (N, P1, P2, k1, k2, C) channels last, else (N, P1, P2, C, k1, k2)
-        v = v.transpose((0, 2, 3, 4, 5, 1) if channels_last
-                        else (0, 2, 3, 1, 4, 5))
-        n, p1, p2 = v.shape[0], v.shape[1], v.shape[2]
-        return v.reshape(n * p1 * p2, x.shape[1] * k1 * k2).astype(
-            np.float64, copy=False)
-    raise ValueError(f"expected 3-D or 4-D input, got ndim={x.ndim}")
+    d = x.ndim - 2  # spatial axes
+    if d < 1 or len(kernel) != d:
+        raise ValueError(f"input shaped {x.shape} is not (N, C, *spatial) "
+                         f"with one spatial axis per kernel length {kernel}")
+    conv_output_shape(x.shape[2:], kernel, stride)
+    v = np.lib.stride_tricks.sliding_window_view(x, kernel,
+                                                 axis=tuple(range(2, x.ndim)))
+    v = v[(slice(None), slice(None)) + (slice(None, None, stride),) * d]
+    # (N, C, *P, *k) to (N, *P, *k, C) channels last, else (N, *P, C, *k)
+    grid, offsets = range(2, 2 + d), range(2 + d, 2 + 2 * d)
+    v = v.transpose((0, *grid, *offsets, 1) if channels_last
+                    else (0, *grid, 1, *offsets))
+    return v.reshape(math.prod(v.shape[:1 + d]),
+                     x.shape[1] * math.prod(kernel))
 
 
 def _flatten(x):
@@ -224,7 +203,7 @@ def _rows(spec, x, w_rows=None):
     ``w_rows == width`` rows. Conv layers: the channels-last windows, one
     row per (sample, position), on the output grid.
     """
-    if spec.kind in ("conv1d", "conv2d"):
+    if spec.kind in CONV_DIMS:
         x = np.asarray(x, dtype=np.float64)
         rows = extract_windows(x, spec.kernel, spec.stride, channels_last=True)
         return rows, conv_output_shape(x.shape[2:], spec.kernel, spec.stride)
@@ -241,7 +220,7 @@ def _window_rows_order(spec, m, channels_last):
     Rows of other layers, and of a single-channel conv layer, keep their
     order.
     """
-    if spec.kind not in ("conv1d", "conv2d"):
+    if spec.kind not in CONV_DIMS:
         return m
     k = math.prod(spec.kernel)
     groups = (m.shape[0] // k, k) if channels_last else (k, m.shape[0] // k)
@@ -358,7 +337,7 @@ def fit_layer(spec, stream, q=None, u=None, mode="closed_form", targets=None):
     rows in that order and the weights are fitted in it; the returned w and
     q are channel-major (see the module docstring).
     """
-    if spec.kind not in ("dense", "conv1d", "conv2d", "output"):
+    if spec.kind == "global_avg_pool":
         raise ValueError(f"fit_layer handles trainable and output layers, "
                          f"not {spec.kind}")
     iterative = _is_iterative(mode)
@@ -424,8 +403,7 @@ def make_batches(x, y, batch_size):
 
     def factory():
         for start in range(0, n, batch_size):
-            stop = min(start + batch_size, n)
-            yield x[start:stop], y[start:stop]
+            yield x[start:start + batch_size], y[start:start + batch_size]
 
     return factory
 
@@ -514,7 +492,7 @@ def _sample_widths(steps, sample_shape):
                 return None
             shape = shape[:1]
             continue
-        if kind in ("conv1d", "conv2d"):
+        if kind in CONV_DIMS:
             kernel = spec.kernel
             if (len(shape) != len(kernel) + 1
                     or any(k > s for k, s in zip(kernel, shape[1:]))):

@@ -100,6 +100,28 @@ def sign_in_place(x):
     return x
 
 
+def activate(kind, z, in_place=False):
+    """Element-wise layer activation or target g. sign maps 0 to exactly 0.
+
+    ``z`` is left unchanged unless ``in_place``, which overwrites a float
+    array with the result; mod2 wraps into [0, 2).
+    """
+    out = z if in_place else None
+    if kind == "relu":
+        return np.maximum(z, 0.0, out=out)
+    if kind == "sign":
+        return sign_in_place(z) if in_place else np.sign(z)
+    if kind == "tanh":
+        return np.tanh(z, out=out)
+    if kind == "identity":
+        return z
+    if kind == "mod2":
+        return np.mod(z, 2.0, out=out)
+    if kind == "square":
+        return np.square(z, out=out)
+    raise ValueError(f"unknown activation {kind!r}")
+
+
 def spd_solve(g, b):
     """Solve g @ x = b for symmetric positive definite ``g``.
 

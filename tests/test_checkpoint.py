@@ -165,6 +165,10 @@ MALFORMED = {
     "matrix listed twice": _set(["layers", 0, "matrices"], ["w", "w", "u"]),
     "unknown layer kind": _set(["layers", 0, "kind"], "bogus"),
     "non-integer out_channels": _set(["layers", 0, "out_channels"], "12"),
+    "float out_channels": _set(["layers", 0, "out_channels"], 12.0),
+    "float stride": _set(["layers", 0, "stride"], 2.0),
+    "fractional kernel entry": _set(["layers", 0, "kernel"], [1.5]),
+    "float label_dim": _set(["label_dim"], 3.0),
     "target not an object": _set(["layers", 0, "target"], [1, 2]),
     "layer with an extra key": _set(["layers", 0, "padding"], 0),
     "layer without stride": _delete("layers", 0, "stride"),

@@ -419,6 +419,34 @@ class TestExplain:
                      "--input", str(img), "--layer", "0", "--sample", "999",
                      "--out", str(tmp_path / "m")]) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        (("layers", 0, "stride"), 2.0),
+        (("layers", 0, "kernel"), [1.5, 2]),
+        (("label_dim",), 3.0),
+    ], ids=["float stride", "fractional kernel entry", "float label_dim"])
+    def test_non_integer_header_field_is_data_error(self, tmp_path, capsys,
+                                                   key, value):
+        # rejected when the checkpoint loads, not later inside eval or explain
+        out, img = self._train_conv(tmp_path)
+        blob = (out / "model.fpk").read_bytes()
+        (hlen,) = struct.unpack_from("<I", blob, 8)
+        header = json.loads(blob[12:12 + hlen])
+        *outer, last = key
+        entry = header
+        for k in outer:
+            entry = entry[k]
+        entry[last] = value
+        head = json.dumps(header).encode("utf-8")
+        ckpt = tmp_path / "bad.fpk"
+        ckpt.write_bytes(blob[:8] + struct.pack("<I", len(head)) + head
+                         + blob[12 + hlen:])
+        cfg = tmp_path / "cfg.json"
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "eval")]) == 3
+        assert main(["explain", "--checkpoint", str(ckpt), "--input", str(img),
+                     "--layer", "0", "--out", str(tmp_path / "maps")]) == 3
+        assert capsys.readouterr().err.count("data error") == 2
+
 
 class TestSweeps:
     def test_bottleneck_sweep_default_widths_row_count(self, tmp_path):

@@ -118,6 +118,70 @@ class TestLoadIdx:
         assert list(read_idx_labels(lab)) == [3, 0, 2]
 
 
+# Each reader and the header of its well-formed file: 2 images of 3 x 2
+# pixels, or 2 labels.
+READERS = {"image": (read_idx_images, (0x00000803, 2, 3, 2)),
+           "label": (read_idx_labels, (0x00000801, 2))}
+FILE_END, PAYLOAD_END = "file end", "payload end"
+
+
+def _pack(header):
+    return struct.pack(f">{len(header)}i", *header)
+
+
+def _with(i, value):
+    """A file builder that sets header field ``i`` to ``value``."""
+    def build(header, payload):
+        return _pack([value if j == i else h for j, h in enumerate(header)])
+    return build
+
+
+# case -> (file from the well-formed header and payload, offset that the
+# IdxFormatError reports); PAYLOAD_END is the well-formed file's length
+IDX_FAULTS = {
+    "bad magic": (_with(0, 0x00000802), 0),
+    "negative count": (_with(1, -1), 4),
+    "truncated magic": (lambda h, p: _pack(h)[:3], 3),
+    "truncated dimensions": (lambda h, p: _pack(h)[:6], 6),
+    "truncated payload": (lambda h, p: _pack(h) + p[:-1], FILE_END),
+    "missing payload": (lambda h, p: _pack(h), FILE_END),
+    "trailing bytes": (lambda h, p: _pack(h) + p + b"\0\0", PAYLOAD_END),
+}
+IMAGE_FAULTS = {
+    "zero rows": (_with(2, 0), 4),
+    "zero cols": (_with(3, 0), 4),
+}
+
+
+class TestIdxFaults:
+    @pytest.mark.parametrize("what, case", [
+        *(("image", c) for c in sorted({**IDX_FAULTS, **IMAGE_FAULTS})),
+        *(("label", c) for c in sorted(IDX_FAULTS)),
+    ])
+    def test_fault_raises_at_offset(self, tmp_path, what, case):
+        reader, header = READERS[what]
+        build, offset = {**IDX_FAULTS, **IMAGE_FAULTS}[case]
+        payload = bytes(range(int(np.prod(header[1:]))))
+        blob = build(header, payload)
+        path = tmp_path / "file"
+        path.write_bytes(blob)
+        with pytest.raises(IdxFormatError) as exc:
+            reader(path)
+        want = {FILE_END: len(blob),
+                PAYLOAD_END: len(_pack(header) + payload)}.get(offset, offset)
+        assert exc.value.offset == want
+
+    @pytest.mark.parametrize("what", sorted(READERS))
+    def test_well_formed_file_reads(self, tmp_path, what):
+        reader, header = READERS[what]
+        size = int(np.prod(header[1:]))
+        path = tmp_path / "file"
+        path.write_bytes(_pack(header) + bytes(range(size)))
+        got = reader(path)
+        assert got.shape == header[1:] and got.dtype == np.uint8
+        assert got.ravel().tolist() == list(range(size))
+
+
 class TestOneHot:
     def test_basic(self):
         assert_allclose(one_hot(np.array([0, 2]), 3),

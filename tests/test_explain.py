@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,8 +13,9 @@ from fpnet.explain import (ExplanationMap, SpatialOrigin, compose_origin,
                            explain_layer, identity_origin, input_origin,
                            reconstruct_input, render_map, write_map_csv,
                            write_map_pgm)
-from fpnet.layers import (LayerSpec, TrainedLayer, extract_windows, fit_layer,
-                          fit_network, network_forward, potentials)
+from fpnet.layers import (LayerSpec, TrainedLayer, conv_output_shape,
+                          extract_windows, fit_layer, fit_network,
+                          network_forward, potentials)
 from fpnet.linalg import SeededRng, gaussian_matrix
 
 
@@ -222,24 +225,34 @@ class TestReconstructInput:
         with pytest.raises(RankDeficientError):
             reconstruct_input(layer, np.zeros((2, 16)), one_hot(np.array([0, 1]), 4))
 
-    def test_conv_overlap_average_round_trip(self):
-        rng = SeededRng(35)
-        x = rng.standard_normal((2, 1, 5))
+    @pytest.mark.parametrize("kind, shape, kernel, stride, uncovered", [
+        ("conv1d", (2, 1, 5), (2,), 1, []),
+        # rows 2 and 4 lie under two windows; columns 1 and 3 under none
+        ("conv2d", (2, 3, 7, 5), (3, 1), 2, [1, 3]),
+    ], ids=["conv1d", "conv2d"])
+    def test_conv_overlap_average_round_trip(self, kind, shape, kernel,
+                                             stride, uncovered):
+        x = SeededRng(35).standard_normal(shape)
         y = one_hot(np.array([0, 1]))
-        spec = LayerSpec("conv1d", out_channels=64, kernel=2, stride=1,
+        width = shape[1] * math.prod(kernel)  # at most 64: q has a right inverse
+        spec = LayerSpec(kind, out_channels=64, kernel=kernel, stride=stride,
                          activation="identity",
                          target=TargetGenSpec(g="identity", q_seed=7,
                                               u_seed=8))
-        q = gaussian_matrix(2, 64, SeededRng(7))
+        q = gaussian_matrix(width, 64, SeededRng(7))
         u = gaussian_matrix(2, 64, SeededRng(8))
         layer = TrainedLayer(spec, w=None, q=q, u=u)
-        rows = extract_windows(x, 2, 1)
-        y_rows = np.repeat(y, 4, axis=0)
+        rows = extract_windows(x, kernel, stride)
+        grid = conv_output_shape(shape[2:], kernel, stride)
+        y_rows = np.repeat(y, math.prod(grid), axis=0)
         ztil = generate_targets(rows, y_rows, q, u, spec.target)
-        z = np.moveaxis(ztil.reshape(2, 4, 64), -1, 1)
+        z = np.moveaxis(ztil.reshape(2, *grid, 64), -1, 1)
         xhat = reconstruct_input(layer, z, y)
         assert xhat.shape == x.shape
-        assert_allclose(xhat, x, atol=1e-6)
+        covered = np.ones(shape[2:], dtype=bool)
+        covered[..., uncovered] = False
+        assert_allclose(xhat[..., covered], x[..., covered], atol=1e-6)
+        assert np.all(xhat[..., ~covered] == 0.0)
 
 
 class TestOrigins:
