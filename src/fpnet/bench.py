@@ -49,23 +49,22 @@ def mlp_specs(hidden_widths, activation="relu", g="sign", alpha=0.0,
 
 
 def fit_method(method, specs, train, mode="closed_form", batch_size=256,
-               seed=0, noise_sigma=1.0):
+               seed=0):
     """Fit ``specs`` with the main method ("fp") or a named baseline."""
     if method == "fp":
         return fit_network(specs, train, mode=mode, batch_size=batch_size)
-    kind = BaselineKind(method, noise_sigma=noise_sigma)
+    kind = BaselineKind(method)
     return fit_baseline_network(kind, specs, train, batch_size=batch_size,
                                 noise_seed=derive_noise_seed(seed), mode=mode)
 
 
 def run_benchmark(specs, train, test, mode="closed_form", batch_size=256,
-                  seed=0, method="fp", noise_sigma=1.0):
+                  seed=0, method="fp"):
     """Fit, score the test split, and return (MetricReport, CostLedger)."""
     ledger = CostLedger()
     with accounting.track(ledger):
         net = fit_method(method, specs, train, mode=mode,
-                         batch_size=batch_size, seed=seed,
-                         noise_sigma=noise_sigma)
+                         batch_size=batch_size, seed=seed)
         scores, _ = predict(net, test.x)
     return metric_report(scores, test.y, seed=seed), ledger
 

@@ -221,29 +221,24 @@ def _auto_tau(gram, tau):
     return tau
 
 
-def ridge_solve(ata, atz, lam, tau=1.0, penalty_diag=None):
+def ridge_solve(ata, atz, lam, tau=1.0, intercept=False):
     """Solve (tau*ata + tau*lam*P) w = tau*atz for w.
 
-    P defaults to the identity; ``penalty_diag`` replaces its diagonal to
-    leave selected coordinates unpenalised (an intercept, say). When tau is
-    left at 1 and any accumulator entry exceeds RESCALE_THRESHOLD, both
-    sides are automatically downscaled by the largest entry; the solution
-    is unchanged by construction. The solution is C-contiguous.
+    P is the identity, or with ``intercept`` the identity with its last
+    diagonal entry zeroed, which leaves the last weight row (an intercept's)
+    unpenalised. When tau is left at 1 and any accumulator entry exceeds
+    RESCALE_THRESHOLD, both sides are automatically downscaled by the
+    largest entry; the solution is unchanged by construction. The solution
+    is C-contiguous.
     """
     ata = as_matrix(ata, "ata")
     atz = as_matrix(atz, "atz")
     n = ata.shape[0]
     tau = _auto_tau(ata, tau)
-    if penalty_diag is None:
-        penalty_diag = np.ones(n)
-    else:
-        penalty_diag = np.asarray(penalty_diag, dtype=np.float64)
-        if penalty_diag.shape != (n,):
-            raise ValueError("penalty_diag length must match ata")
     # the penalty only touches the diagonal, so no n x n copy of it is held
     # next to g and the C-ordered copy of w below
     g = tau * ata
-    g[np.diag_indices(n)] += (tau * lam) * penalty_diag
+    g[np.diag_indices(n - intercept)] += tau * lam
     # spd_solve returns C order, as a loaded checkpoint has, so BLAS rounds
     # products with fitted and reloaded weights alike
     w = spd_solve(g, tau * atz)
@@ -284,39 +279,37 @@ def _dual_solve(a, z, lam, tau, intercept):
     return w
 
 
-def fit_weights(acc, cfg=RidgeConfig(), penalty_diag=None):
+def fit_weights(acc, cfg=RidgeConfig(), intercept=False):
     """Closed-form ridge weights from an accumulator.
 
+    ``intercept`` leaves the last weight row unpenalised, as in
+    ``ridge_solve``; the last input column is then meant to be a constant 1.
     While the accumulator still keeps its batches (fewer rows than inputs)
-    and lam > 0, the weights come from the n x n dual system; this needs a
-    ``penalty_diag`` that is all ones, or all ones but a final 0 on an
-    intercept column of ones. Otherwise the batches are folded and
-    ``ridge_solve``, which gets ``penalty_diag``, solves the d x d system;
-    so with lam = 0 a rank-deficient Gram matrix surfaces as
+    and lam > 0, the weights come from the n x n dual system, unless
+    ``intercept`` is set and that column of the kept rows is not all ones.
+    Otherwise the batches are folded and ``ridge_solve`` solves the d x d
+    system; so with lam = 0 a rank-deficient Gram matrix surfaces as
     NotPositiveDefiniteError. Raises ValueError on an empty accumulator.
     """
     if acc.n_seen < 1:
         raise ValueError("accumulator has seen no samples")
-    pen = (np.ones(acc.in_dim) if penalty_diag is None
-           else np.asarray(penalty_diag, dtype=np.float64))
-    if (acc.kept and cfg.lam > 0 and pen.shape == (acc.in_dim,)
-            and np.all(pen[:-1] == 1.0) and pen[-1] in (0.0, 1.0)):
+    if acc.kept and cfg.lam > 0:
         a, z = acc.stacked()
-        intercept = pen[-1] == 0.0
         if not intercept or np.all(a[:, -1] == 1.0):
             return _dual_solve(a, z, cfg.lam, cfg.tau, intercept)
     return ridge_solve(acc.ata, acc.atz, cfg.lam, tau=cfg.tau,
-                       penalty_diag=penalty_diag)
+                       intercept=intercept)
 
 
-def iterative_update(w, a_batch, ztil, eta, lam, penalty_diag=None):
+def iterative_update(w, a_batch, ztil, eta, lam, intercept=False):
     """One gradient step on the batch ridge objective.
 
     grad = (2/B) * a.T @ (a @ w - ztil) + (2/B) * lam * P @ w
     w_next = w - eta * grad
 
-    P is the identity unless ``penalty_diag`` gives its diagonal, as in
-    ``ridge_solve``. The 2/B factor is part of the objective's definition
+    P is the identity, or with ``intercept`` the identity with its last
+    diagonal entry zeroed, as in ``ridge_solve``: the last weight row then
+    gets no lam term. The 2/B factor is part of the objective's definition
     (mean squared error over the batch), kept explicit so step sizes
     transfer between batch sizes.
 
@@ -330,19 +323,15 @@ def iterative_update(w, a_batch, ztil, eta, lam, penalty_diag=None):
     b = a.shape[0]
     if a.shape[1] != w.shape[0] or z.shape != (b, w.shape[1]):
         raise ValueError("shapes do not conform for an update step")
-    penalised = w
-    if penalty_diag is not None:
-        penalty_diag = np.asarray(penalty_diag, dtype=np.float64)
-        if penalty_diag.shape != (w.shape[0],):
-            raise ValueError("penalty_diag length must match w's rows")
-        penalised = penalty_diag[:, None] * w
     resid = a @ w - z
     loss, zero_loss = float(np.vdot(resid, resid)), float(np.vdot(z, z))
     if zero_loss > 0 and not loss <= DIVERGENCE_RATIO * zero_loss:
         raise DivergenceError(
             f"batch loss {loss:.3g} is over {DIVERGENCE_RATIO:g} times that of "
             f"zero weights ({zero_loss:.3g}); lower eta")
-    grad = (2.0 / b) * (a.T @ resid) + (2.0 / b) * lam * penalised
+    grad = (2.0 / b) * (a.T @ resid)
+    penalised = slice(w.shape[0] - intercept)  # every row but an intercept's
+    grad[penalised] += (2.0 / b) * lam * w[penalised]
     accounting.add_macs("gram",
                         accounting.matmul_macs(b, a.shape[1], w.shape[1])
                         + accounting.matmul_macs(a.shape[1], b, w.shape[1]))

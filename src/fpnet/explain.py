@@ -198,13 +198,12 @@ def render_map(emap, class_index, upsample_to):
     """Nearest-neighbour upsampling of one class's evidence map.
 
     Multi-sample maps are averaged over the sample axis first. Dense maps
-    (no spatial axes) render as a constant image. Returns a float array
-    shaped ``upsample_to``.
+    (no spatial axes) render as a constant image. ``upsample_to`` is the
+    output's spatial shape, a sequence such as ``x.shape[2:]``; the result
+    is a float array of that shape.
     """
     if not (0 <= class_index < emap.label_dim):
         raise ValueError(f"class_index {class_index} out of range")
-    if isinstance(upsample_to, int):
-        upsample_to = (upsample_to,)
     upsample_to = tuple(int(d) for d in upsample_to)
     if any(d < 1 for d in upsample_to):
         raise ValueError("upsample dimensions must be positive")

@@ -43,6 +43,9 @@ from .linalg import SeededRng, activate, as_matrix, gaussian_matrix
 LAYER_KINDS = ("dense", "conv1d", "conv2d", "global_avg_pool", "output")
 ACTIVATIONS = ("relu", "sign", "tanh", "identity", "mod2", "square")
 CONV_DIMS = {"conv1d": 1, "conv2d": 2}
+# The fields besides ``kind`` that each non-conv kind reads; conv kinds read all
+KIND_FIELDS = {"dense": ("out_channels", "activation", "target", "ridge"),
+               "global_avg_pool": (), "output": ("ridge",)}
 
 # Working set of every inference and closed-form fit batch: rows per batch
 # are at most this divided by the bytes per sample of the widest
@@ -67,10 +70,10 @@ def _integer(value, name):
 class LayerSpec:
     """Static description of one layer.
 
-    Trainable kinds (dense, conv1d, conv2d) need ``target`` to be fitted;
-    pooling and output layers must not carry one. The output layer fits a
-    ridge from activations to one-hot labels with an unpenalised intercept
-    and emits raw scores.
+    Trainable kinds (dense, conv1d, conv2d) need ``target`` to be fitted.
+    A field the kind does not read (see ``KIND_FIELDS``) must keep its
+    default. The output layer fits a ridge from activations to one-hot
+    labels with an unpenalised intercept and emits raw scores.
     """
 
     kind: str
@@ -98,12 +101,11 @@ class LayerSpec:
         if self.kind in CONV_DIMS and len(kernel) != CONV_DIMS[self.kind]:
             raise ValueError(f"{self.kind} takes {CONV_DIMS[self.kind]} "
                              f"kernel lengths, got {kernel}")
-        if self.kind in ("global_avg_pool", "output"):
-            if self.target is not None:
-                raise ValueError(f"{self.kind} layers do not take target specs")
-            if self.activation != "identity":
-                raise ValueError(f"{self.kind} layers apply no activation")
-        elif self.out_channels < 1:
+        reads = ("kind", *KIND_FIELDS.get(self.kind, self.__dataclass_fields__))
+        for name, field in self.__dataclass_fields__.items():
+            if name not in reads and getattr(self, name) != field.default:
+                raise ValueError(f"{self.kind} layers do not take {name}")
+        if "out_channels" in reads and self.out_channels < 1:
             raise ValueError(f"{self.kind} layer needs out_channels >= 1")
 
     def effective_ridge(self):
@@ -329,9 +331,10 @@ def fit_layer(spec, stream, q=None, u=None, mode="closed_form", targets=None):
         target potentials, or None when the weights are q itself and no
         pass is needed. Defaults to ``generate_targets``.
 
-    The output layer's targets are the labels. Its rows gain an intercept
-    column whose weight row is left out of the ridge penalty, so shifting
-    all activations by a constant moves only the intercept.
+    The output layer's targets are the labels. Its rows gain a last,
+    constant intercept column, and the solvers get ``intercept=True``,
+    which leaves that column's weight row out of the ridge penalty, so
+    shifting all activations by a constant moves only the intercept.
 
     A conv layer's window rows are channels-last, so ``targets`` gets q's
     rows in that order and the weights are fitted in it; the returned w and
@@ -345,14 +348,13 @@ def fit_layer(spec, stream, q=None, u=None, mode="closed_form", targets=None):
     source = generate_targets if targets is None else targets
     factory = _stream_factory(stream)
     ridge = spec.effective_ridge()
-    acc = w = penalty = q_rows = None
+    acc = w = q_rows = None
     for _ in range(mode.epochs if iterative else 1):
         for x_batch, y_batch in factory():
             rows, y_rows = _layer_rows(spec, x_batch, y_batch)
             del x_batch  # the rows hold all this step needs of it
-            if output:  # fit the labels; leave the intercept unpenalised
+            if output:  # fit the labels
                 z, width = y_rows, y_rows.shape[1]
-                penalty = np.append(np.ones(rows.shape[1] - 1), 0.0)
             else:
                 if q_rows is None:
                     if q is None or u is None:
@@ -366,7 +368,7 @@ def fit_layer(spec, stream, q=None, u=None, mode="closed_form", targets=None):
             if iterative:
                 if w is None:
                     w = np.zeros((rows.shape[1], width))
-                w = iterative_update(w, rows, z, mode.eta, ridge.lam, penalty)
+                w = iterative_update(w, rows, z, mode.eta, ridge.lam, output)
                 accounting.note_matrices(w, q, u, rows, z)
             else:
                 if acc is None:
@@ -380,7 +382,7 @@ def fit_layer(spec, stream, q=None, u=None, mode="closed_form", targets=None):
     if acc is None and w is None:
         raise ValueError("stream produced no batches")
     if not iterative:
-        w = fit_weights(acc, ridge, penalty)
+        w = fit_weights(acc, ridge, output)
     w = _window_rows_order(spec, w, channels_last=False)
     return TrainedLayer(spec, w=w, q=q, u=u)
 

@@ -130,6 +130,12 @@ def _output_without_w(h, p, net):
     return h, p[:len(p) - _matrix_bytes(net.layers[1].w)]
 
 
+def _pool_with_ridge(h, p, net):
+    pool = {**dataclasses.asdict(LayerSpec("global_avg_pool")), "matrices": []}
+    h["layers"].insert(0, {**pool, "ridge": dataclasses.asdict(RidgeConfig())})
+    return h, p
+
+
 def _set(path, value):
     def mutate(h, p, net):
         *outer, last = path
@@ -178,6 +184,9 @@ MALFORMED = {
     "no layers": _drop_layers,
     "dense layer without w": _dense_without_w,
     "output layer without w": _output_without_w,
+    # fields the layer kind does not read
+    "dense with stride 2": _set(["layers", 0, "stride"], 2),
+    "pool with a ridge": _pool_with_ridge,
 }
 
 

@@ -253,6 +253,7 @@ _BAD_VALUES = [
     # keys the layer kind does not read
     (("architecture", 1, "activation"), "tanh"), (("architecture", 1, "g"), "sign"),
     (("architecture", 1, "out_channels"), 3),
+    (("architecture", 0, "kernel"), [7, 7, 7]), (("architecture", 0, "stride"), 5),
     (("architecture", 0), {"kind": "global_avg_pool", "lam": 1.0}),
     (("data",), {"kind": "idx", "train_images": "i", "train_labels": "l",
                  "test_images": "t"}),

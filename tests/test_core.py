@@ -223,12 +223,19 @@ class TestDualSolve:
     def test_intercept_weights_equal_primal(self):
         a, z = self._rows()
         a1 = np.hstack([a + 3.0, np.ones((a.shape[0], 1))])
-        pen = np.append(np.ones(a.shape[1]), 0.0)
         w = fit_weights(_acc_from(a1, z), RidgeConfig(lam=3.0),
-                        penalty_diag=pen)
-        ref = ridge_solve(a1.T @ a1, a1.T @ z, 3.0, penalty_diag=pen)
+                        intercept=True)
+        ref = ridge_solve(a1.T @ a1, a1.T @ z, 3.0, intercept=True)
         assert w.shape == ref.shape and w.flags.c_contiguous
         assert self._rel(w, ref) <= 1e-9
+
+    def test_intercept_column_not_ones_takes_the_primal(self):
+        a, z = self._rows()
+        acc = _acc_from(a, z)  # last column is not a constant 1
+        w = fit_weights(acc, RidgeConfig(lam=2.0), intercept=True)
+        assert not acc.kept
+        ref = ridge_solve(a.T @ a, a.T @ z, 2.0, intercept=True)
+        assert w.tobytes() == ref.tobytes()
 
     def test_tau_and_auto_rescale_act_on_the_dual_gram(self):
         a, z = self._rows()
@@ -239,15 +246,6 @@ class TestDualSolve:
         big = fit_weights(_acc_from(a * scale, z),
                           RidgeConfig(lam=scale ** 2))
         assert self._rel(big * scale, small) <= 1e-6
-
-    def test_other_penalties_take_the_primal(self):
-        a, z = self._rows()
-        pen = np.linspace(0.5, 2.0, a.shape[1])
-        acc = _acc_from(a, z)
-        w = fit_weights(acc, RidgeConfig(lam=2.0), penalty_diag=pen)
-        assert not acc.kept
-        ref = ridge_solve(a.T @ a, a.T @ z, 2.0, penalty_diag=pen)
-        assert w.tobytes() == ref.tobytes()
 
     def test_crossing_in_dim_mid_stream_is_the_in_order_sum(self):
         rng = SeededRng(67)
@@ -296,7 +294,7 @@ class TestDualSolve:
         a1 = np.hstack([a, np.ones((n, 1))])
         with accounting.track() as ledger:
             fit_weights(_acc_from(a1, z), RidgeConfig(lam=1.0),
-                        penalty_diag=np.append(np.ones(d), 0.0))
+                        intercept=True)
         assert ledger.macs["gram"] == n * d * n
         assert ledger.macs["solve"] == (n ** 3 // 6 + n * n * k + d * n * k
                                         + d * k)
@@ -313,14 +311,13 @@ class TestDualSolve:
 
 
 class TestRidgeSolve:
-    def test_penalty_diag_skips_intercept(self):
-        # with a zeroed penalty entry the corresponding row is unregularised
-        a = np.hstack([np.ones((4, 1)), np.eye(4)])
+    def test_intercept_row_is_unpenalised(self):
+        # the last row, the intercept's, is unregularised
+        a = np.hstack([np.eye(4), np.ones((4, 1))])
         z = np.arange(4.0).reshape(4, 1)
         ata, atz = a.T @ a, a.T @ z
-        pen = np.ones(5)
-        pen[0] = 0.0
-        w = ridge_solve(ata, atz, lam=3.0, penalty_diag=pen)
+        pen = np.append(np.ones(4), 0.0)
+        w = ridge_solve(ata, atz, lam=3.0, intercept=True)
         grad = ata @ w - atz + 3.0 * (pen[:, None] * w)
         assert np.max(np.abs(grad)) <= 1e-10
 
@@ -338,6 +335,16 @@ class TestIterativeUpdate:
         w = iterative_update(np.array([[1.0]]), np.array([[1.0]]),
                              np.array([[0.0]]), eta=0.5, lam=0.0)
         assert_allclose(w, [[0.0]])
+
+    def test_intercept_row_gets_no_lam_term(self):
+        # the data term is zero, so the step is -eta * (2/B) * lam * w on
+        # every row but the last
+        a = np.eye(3)
+        w = np.array([[1.0, -2.0], [3.0, 0.5], [4.0, -1.0]])
+        z = a @ w
+        step = iterative_update(w, a, z, eta=0.1, lam=5.0, intercept=True)
+        assert_allclose(step[:-1], w[:-1] * (1.0 - 0.1 * (2.0 / 3) * 5.0))
+        assert step[-1].tobytes() == w[-1].tobytes()
 
     def test_full_batch_descent_reaches_closed_form(self):
         rng = SeededRng(41)
