@@ -12,6 +12,8 @@ layer is fitted exactly as in the main method.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .layers import fit_network
 from .linalg import SeededRng
 
@@ -30,11 +32,22 @@ class BaselineKind:
             raise ValueError("noise_sigma must be positive")
 
 
-def make_baseline_targets(kind, y_rows, u, rng=None):
-    """Target potentials for one batch, or None when nothing is fitted."""
+def make_baseline_targets(kind, y, u, rng=None, n_rows=None):
+    """Target potentials for one batch, or None when nothing is fitted.
+
+    y holds one label row per sample. Each sample's label term y @ u is
+    repeated for its n_rows / len(y) consecutive design rows (window
+    positions); n_rows defaults to len(y). Noise is drawn per design row.
+    """
     if kind.name == "random_features":
         return None
-    ztil = y_rows @ u
+    n = len(y)
+    n_rows = n if n_rows is None else n_rows
+    if n_rows % n:
+        raise ValueError(f"y has {n} rows, the batch {n_rows}, not a multiple")
+    ztil = y @ u
+    if n_rows != n:
+        ztil = np.repeat(ztil, n_rows // n, axis=0)
     if kind.name == "noisy_label_projection":
         if rng is None:
             raise ValueError("noisy_label_projection needs an rng")
@@ -51,8 +64,8 @@ def fit_baseline_network(kind, specs, dataset, batch_size=256, noise_seed=0,
     """
     rng = SeededRng(noise_seed)
 
-    def targets(rows, y_rows, q, u, target_spec):
-        return make_baseline_targets(kind, y_rows, u, rng)
+    def targets(rows, y, q, u, target_spec):
+        return make_baseline_targets(kind, y, u, rng, n_rows=len(rows))
 
     return fit_network(specs, dataset, mode=mode, batch_size=batch_size,
                        targets=targets)

@@ -92,8 +92,11 @@ class RidgeConfig:
 def generate_targets(a_prev, y, q, u, spec):
     """Target potentials ztil = g(a_prev @ q) + g(y @ u) + alpha.
 
-    a_prev : (B, m_in) activations from the previous layer.
-    y : (B, m_L) label matrix aligned row-for-row with a_prev.
+    a_prev : (B, m_in) activations from the previous layer, the rows of N
+        samples in sample order, B / N consecutive rows each (one per
+        window position of a conv layer, one in all for a dense layer).
+    y : (N, m_L) label matrix, one row per sample. Its label term g(y @ u)
+        is computed once per sample and added to each of the sample's rows.
     q : (m_in, m_out) input projection.
     u : (m_L, m_out) label projection.
     """
@@ -102,8 +105,9 @@ def generate_targets(a_prev, y, q, u, spec):
     q = as_matrix(q, "q")
     u = as_matrix(u, "u")
     b, m_in = a_prev.shape
-    if y.shape[0] != b:
-        raise ValueError(f"y has {y.shape[0]} rows, a_prev has {b}")
+    n = y.shape[0]
+    if b % n:
+        raise ValueError(f"y has {n} rows, a_prev has {b}, not a multiple")
     if q.shape[0] != m_in:
         raise ValueError(f"q expects {q.shape[0]} inputs, a_prev has {m_in}")
     if u.shape[0] != y.shape[1]:
@@ -111,15 +115,17 @@ def generate_targets(a_prev, y, q, u, spec):
     if q.shape[1] != u.shape[1]:
         raise ValueError(
             f"q and u disagree on output width: {q.shape[1]} vs {u.shape[1]}")
+    m_out = q.shape[1]
     # both products are fresh, so g and the sums overwrite them: one
-    # (B, m_out) temporary besides the result, with the same values
+    # (N, m_out) temporary besides the result, with the same values
     ztil = activate(spec.g, a_prev @ q, in_place=True)
-    ztil += activate(spec.g, y @ u, in_place=True)
+    per_sample = ztil.reshape(n, b // n, m_out)  # a view: ztil is C-ordered
+    per_sample += activate(spec.g, y @ u, in_place=True)[:, None]
     if spec.alpha != 0.0:
         ztil += spec.alpha
     accounting.add_macs("target_gen",
-                        accounting.matmul_macs(b, m_in, q.shape[1])
-                        + accounting.matmul_macs(b, y.shape[1], u.shape[1]))
+                        accounting.matmul_macs(b, m_in, m_out)
+                        + accounting.matmul_macs(n, y.shape[1], m_out))
     return ensure_finite(ztil, "targets")
 
 
@@ -215,7 +221,7 @@ def _auto_tau(gram, tau):
     """tau, or 1 / max|gram| when tau is left at 1 and an entry of ``gram``
     exceeds RESCALE_THRESHOLD."""
     if tau == 1.0:
-        peak = float(np.max(np.abs(gram)))
+        peak = max(float(gram.max()), -float(gram.min()))
         if peak > RESCALE_THRESHOLD:
             return 1.0 / peak
     return tau
@@ -240,8 +246,9 @@ def ridge_solve(ata, atz, lam, tau=1.0, intercept=False):
     g = tau * ata
     g[np.diag_indices(n - intercept)] += tau * lam
     # spd_solve returns C order, as a loaded checkpoint has, so BLAS rounds
-    # products with fitted and reloaded weights alike
-    w = spd_solve(g, tau * atz)
+    # products with fitted and reloaded weights alike; it copies its right
+    # side, so atz itself goes in when there is nothing to scale
+    w = spd_solve(g, atz if tau == 1.0 else tau * atz)
     accounting.add_macs("solve", accounting.cholesky_solve_macs(n, atz.shape[1]))
     accounting.note_matrices(ata, atz, g, w)
     return w

@@ -272,14 +272,6 @@ def _stream_factory(stream):
     return lambda: iter(batches)
 
 
-def _layer_rows(spec, x_batch, y_batch):
-    """``_rows`` of one batch and its labels, a sample's label row repeated
-    for each of the sample's window positions."""
-    y = as_matrix(y_batch, "y_batch")
-    rows, grid = _rows(spec, x_batch)
-    return rows, np.repeat(y, math.prod(grid), axis=0) if grid else y
-
-
 def _draw_projections(spec, in_dim, label_dim):
     tgt = spec.target
     if tgt is None:
@@ -327,9 +319,11 @@ def fit_layer(spec, stream, q=None, u=None, mode="closed_form", targets=None):
         ridge once at the end; an IterativeConfig takes one gradient step on
         the same objective per batch, over ``epochs`` passes.
     targets : a hidden layer's target source, called on every batch as
-        ``targets(rows, y_rows, q, u, spec.target)``. It returns the batch's
-        target potentials, or None when the weights are q itself and no
-        pass is needed. Defaults to ``generate_targets``.
+        ``targets(rows, y, q, u, spec.target)``, with the batch's design rows
+        and its labels, one row per sample; a conv layer's rows hold each
+        sample's window positions in turn. It returns one row of target
+        potentials per design row, or None when the weights are q itself and
+        no pass is needed. Defaults to ``generate_targets``.
 
     The output layer's targets are the labels. Its rows gain a last,
     constant intercept column, and the solvers get ``intercept=True``,
@@ -351,17 +345,21 @@ def fit_layer(spec, stream, q=None, u=None, mode="closed_form", targets=None):
     acc = w = q_rows = None
     for _ in range(mode.epochs if iterative else 1):
         for x_batch, y_batch in factory():
-            rows, y_rows = _layer_rows(spec, x_batch, y_batch)
+            y = as_matrix(y_batch, "y_batch")
+            if y.shape[0] != len(x_batch):
+                raise ValueError(f"batch has {len(x_batch)} samples but "
+                                 f"{y.shape[0]} label rows")
+            rows, _ = _rows(spec, x_batch)
             del x_batch  # the rows hold all this step needs of it
             if output:  # fit the labels
-                z, width = y_rows, y_rows.shape[1]
+                z, width = y, y.shape[1]
             else:
                 if q_rows is None:
                     if q is None or u is None:
                         q, u = _draw_projections(spec, rows.shape[1],
-                                                 y_rows.shape[1])
+                                                 y.shape[1])
                     q_rows = _window_rows_order(spec, q, channels_last=True)
-                z = source(rows, y_rows, q_rows, u, spec.target)
+                z = source(rows, y, q_rows, u, spec.target)
                 if z is None:
                     return TrainedLayer(spec, w=q, q=q, u=u)
                 width = spec.out_channels
@@ -378,7 +376,7 @@ def fit_layer(spec, stream, q=None, u=None, mode="closed_form", targets=None):
                 accounting.note_matrices(acc, q, u,
                                          *(() if acc.kept else (rows, z)))
             # let this batch go before the stream builds the next one
-            del y_batch, rows, y_rows, z
+            del y_batch, rows, y, z
     if acc is None and w is None:
         raise ValueError("stream produced no batches")
     if not iterative:

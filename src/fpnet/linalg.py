@@ -4,9 +4,17 @@ All matrices are 2-D float64 numpy arrays. Degenerate matrices with a zero
 dimension are rejected at every public entry point. Determinism is
 per-implementation: the same seed always reproduces the same draws within
 this package, but no bit-level agreement with other libraries is promised.
+
+Every kernel runs on numpy's own BLAS and LAPACK. numpy has no triangular
+solve, so ``spd_solve`` calls ``cblas_dtrsm`` through ctypes from the
+OpenBLAS that numpy's wheels bundle and have already loaded; where numpy is
+built on another BLAS it falls back to ``np.linalg.solve``.
 """
 
+import ctypes
+import glob
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +31,35 @@ DEFAULT_RANK_TOL = 1e-9
 
 # Floats per step of sign_in_place (512 KiB of float64).
 SIGN_BLOCK_FLOATS = 2**16
+
+# CBLAS enum values: row-major, left side, lower, no-trans, trans, non-unit.
+_ROW_MAJOR, _LEFT, _LOWER, _NO_TRANS, _TRANS, _NON_UNIT = (
+    101, 141, 122, 111, 112, 131)
+
+
+def _bundled_dtrsm():
+    """``cblas_dtrsm`` of the OpenBLAS bundled with numpy, or None.
+
+    numpy's wheels ship an ILP64 OpenBLAS under ``numpy.libs`` whose
+    symbols carry a ``scipy_`` prefix and a ``64_`` suffix; opening the
+    path numpy has already loaded returns that same library, so no second
+    BLAS runtime starts.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(glob.glob(str(libs / "*openblas*"))):
+        try:
+            fn = ctypes.CDLL(path).scipy_cblas_dtrsm64_
+        except (OSError, AttributeError):
+            continue
+        i64, enum = ctypes.c_int64, ctypes.c_int
+        fn.argtypes = [enum] * 5 + [i64, i64, ctypes.c_double,
+                                    ctypes.c_void_p, i64, ctypes.c_void_p, i64]
+        fn.restype = None
+        return fn
+    return None
+
+
+_DTRSM = _bundled_dtrsm()
 
 
 def as_matrix(a, name="matrix"):
@@ -125,8 +162,11 @@ def activate(kind, z, in_place=False):
 def spd_solve(g, b):
     """Solve g @ x = b for symmetric positive definite ``g``.
 
-    A Cholesky factorisation checks definiteness and the pivots; an LU
-    solve then gives x, C-ordered. Both run on numpy's LAPACK.
+    One Cholesky factorisation g = L L.T checks definiteness and the
+    pivots, then two in-place triangular solves on a C-ordered copy of
+    ``b`` give x: L y = b, then L.T x = y. Both run on numpy's OpenBLAS;
+    where numpy bundles none, ``np.linalg.solve`` gives x after the same
+    checks. ``b`` is left unchanged.
 
     Parameters
     ----------
@@ -135,12 +175,13 @@ def spd_solve(g, b):
 
     Returns
     -------
-    x : (n, k) solution.
+    x : (n, k) solution, C-ordered.
 
     Raises
     ------
     ValueError
-        If ``g`` is not square, not symmetric, or shapes do not conform.
+        If ``g`` is not square, has non-finite entries or is not symmetric,
+        or shapes do not conform.
     NotPositiveDefiniteError
         If the factorisation fails or a squared pivot falls below
         PIVOT_FLOOR relative to the largest diagonal entry. The error
@@ -153,26 +194,38 @@ def spd_solve(g, b):
         raise ValueError(f"g must be square, got shape {g.shape}")
     if b.shape[0] != n:
         raise ValueError(f"b has {b.shape[0]} rows, expected {n}")
-    tol = 1e-8 * max(1.0, np.max(np.abs(g)))
-    # a block of rows at a time: allclose holds several temporaries the size
-    # of its inputs, which on a large g set the fit's peak memory
+    hi, lo = float(g.max()), float(g.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise ValueError("g contains non-finite entries")
+    tol = 1e-8 * max(1.0, hi, -lo)
+    # a block of rows at a time, so no temporary the size of g is built
     for i in range(0, n, SYMMETRY_BLOCK_ROWS):
         rows = slice(i, i + SYMMETRY_BLOCK_ROWS)
-        if not np.allclose(g[rows], g[:, rows].T, atol=tol, rtol=0.0):
+        if not np.abs(g[rows] - g[:, rows].T).max() <= tol:
             raise ValueError("g is not symmetric")
 
+    # the solution overwrites this copy; allocated before the factor, it
+    # lands below it on the heap, which keeps the fit's peak RSS down
+    x = np.array(b, order="C")
     try:
-        # keep only the pivots, so the n x n factor is freed before the solve
-        diag = np.diagonal(np.linalg.cholesky(g)).copy()
+        factor = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError(_first_failing_pivot(g)) from None
+    diag = np.diagonal(factor)
     floor = PIVOT_FLOOR * max(1.0, float(np.max(np.abs(np.diagonal(g)))))
     small = np.nonzero(diag * diag < floor)[0]
     if small.size:
         raise NotPositiveDefiniteError(int(small[0]), message=(
             f"pivot {int(small[0])} below floor: {float(diag[small[0]] ** 2):.3e}"
         ))
-    return ensure_finite(np.linalg.solve(g, b), "spd_solve result")
+    if _DTRSM is None:
+        return ensure_finite(np.linalg.solve(g, x), "spd_solve result")
+    factor = np.ascontiguousarray(factor)
+    k = x.shape[1]
+    for trans in (_NO_TRANS, _TRANS):
+        _DTRSM(_ROW_MAJOR, _LEFT, _LOWER, trans, _NON_UNIT, n, k, 1.0,
+               factor.ctypes.data, n, x.ctypes.data, k)
+    return ensure_finite(x, "spd_solve result")
 
 
 def _first_failing_pivot(g):

@@ -45,6 +45,19 @@ class TestTargets:
         got = make_baseline_targets(tiny, y, u, rng)
         assert_allclose(got, y @ u, atol=1e-9)
 
+    def test_label_term_repeated_per_design_row(self):
+        y = one_hot(np.array([0, 2, 1]))
+        u = SeededRng(3).standard_normal((3, 4))
+        got = make_baseline_targets(LP, y, u, n_rows=6)
+        assert np.array_equal(got, np.repeat(y @ u, 2, axis=0))
+        noisy = BaselineKind("noisy_label_projection", noise_sigma=0.5)
+        a = make_baseline_targets(noisy, y, u, SeededRng(8), n_rows=6)
+        b = make_baseline_targets(noisy, np.repeat(y, 2, axis=0), u,
+                                  SeededRng(8))
+        assert np.array_equal(a, b)
+        with pytest.raises(ValueError, match="not a multiple"):
+            make_baseline_targets(LP, y, u, n_rows=7)
+
     def test_noise_needs_rng(self):
         noisy = BaselineKind("noisy_label_projection")
         with pytest.raises(ValueError):

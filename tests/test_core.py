@@ -58,6 +58,23 @@ class TestGenerateTargets:
             generate_targets(np.ones((2, 3)), np.ones((2, 1)), np.ones((3, 4)),
                              np.ones((1, 5)), TargetGenSpec())
 
+    @pytest.mark.parametrize("g, alpha", [("sign", 0.0), ("tanh", 0.5)])
+    def test_per_sample_labels_equal_repeated_rows(self, g, alpha):
+        # 4 samples of 6 rows each (window positions): the label term is
+        # computed once per sample, and the targets are bit for bit those of
+        # one repeated label row per design row
+        rng = SeededRng(6)
+        a = rng.standard_normal((24, 5))
+        y = np.eye(3)[[0, 2, 1, 2]]
+        q, u = rng.standard_normal((5, 7)), rng.standard_normal((3, 7))
+        spec = TargetGenSpec(g=g, alpha=alpha)
+        ledger = accounting.CostLedger()
+        with accounting.track(ledger):
+            z = generate_targets(a, y, q, u, spec)
+        ref = generate_targets(a, np.repeat(y, 6, axis=0), q, u, spec)
+        assert z.tobytes() == ref.tobytes()
+        assert ledger.macs["target_gen"] == 24 * 5 * 7 + 4 * 3 * 7
+
     def test_bad_nonlinearity_rejected(self):
         with pytest.raises(ValueError):
             TargetGenSpec(g="step")

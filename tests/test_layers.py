@@ -188,6 +188,18 @@ class TestFitLayer:
         ref = ridge_solve(x.T @ x, x.T @ z, 10.0)
         assert np.linalg.norm(layer.w - ref) / np.linalg.norm(ref) <= 1e-9
 
+    @pytest.mark.parametrize("spec", [
+        _dense_spec(3),
+        LayerSpec("conv1d", 3, 2, 1, "relu", TargetGenSpec()),
+        LayerSpec("output")], ids=["dense", "conv1d", "output"])
+    def test_label_count_must_match_samples(self, spec):
+        # 6 conv1d windows per sample: 2 label rows would divide the 12
+        # window rows, so the count is checked against the samples
+        x = SeededRng(2).standard_normal((2, 1, 7))
+        x = x[:, 0] if spec.kind != "conv1d" else x
+        with pytest.raises(ValueError, match="2 samples but 1 label rows"):
+            fit_layer(spec, [(x, one_hot(np.array([0, 1]))[:1])])
+
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
             fit_layer(_dense_spec(3), [])
@@ -792,8 +804,8 @@ class TestChannelsLastWindows:
         conv_spec, dense_spec = _conv_dense_pair(3, (3, 3), 1)
         kind = BaselineKind("label_projection")
 
-        def targets(rows, y_rows, q, u, target_spec):
-            return make_baseline_targets(kind, y_rows, u)
+        def targets(rows, y, q, u, target_spec):
+            return make_baseline_targets(kind, y, u, n_rows=len(rows))
 
         conv = fit_layer(conv_spec, [(x, y)], targets=targets)
         windows = extract_windows(x, (3, 3), 1)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fpnet import linalg
 from fpnet.errors import NotPositiveDefiniteError, RankDeficientError
 from fpnet.linalg import (SIGN_BLOCK_FLOATS, SeededRng, gaussian_matrix,
                           pseudo_inverse_rows, rank_estimate, sign_in_place,
@@ -132,9 +133,51 @@ class TestSpdSolve:
         b = np.asfortranarray(np.arange(6.0).reshape(3, 2))
         assert spd_solve(g, b).flags.c_contiguous
 
-    def test_fit_does_not_load_scipy_linalg(self, tmp_path):
-        # fpnet keeps to numpy's own BLAS and LAPACK; a second BLAS runtime
-        # (scipy's) would compete with numpy's threads for the same cores
+    @pytest.mark.parametrize("entries", [
+        {(0, 1): np.inf, (1, 0): np.inf}, {(1, 1): np.inf}, {(2, 0): np.nan}],
+        ids=["symmetric-off-diagonal-inf", "diagonal-inf", "nan"])
+    def test_non_finite_g_rejected(self, entries):
+        g = np.eye(3)
+        for ij, value in entries.items():
+            g[ij] = value
+        with pytest.raises(ValueError, match="^g contains non-finite entries$"):
+            spd_solve(g, np.ones((3, 1)))
+
+    @pytest.mark.parametrize("k", [1, 10, 1000])
+    @pytest.mark.parametrize("n", [1, 3, 64, 500])
+    def test_matches_numpy_solve(self, n, k):
+        rng = SeededRng(1000 * n + k)
+        a = rng.standard_normal((n + 8, n))
+        g = a.T @ a / (n + 8) + np.eye(n)  # eigenvalues within [1, 5]
+        wide = rng.standard_normal((n, 2 * k))
+        for name, b in [("C", wide[:, :k].copy()),
+                        ("Fortran", np.asfortranarray(wide[:, :k])),
+                        ("strided", wide[:, ::2]),
+                        ("integer", np.rint(10 * wide[:, :k]).astype(np.int64))]:
+            before = b.copy()
+            x = spd_solve(g, b)
+            ref = np.linalg.solve(g, b.astype(np.float64))
+            assert x.flags.c_contiguous, name
+            assert np.array_equal(b, before), name
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref), name
+
+    def test_factors_once(self, monkeypatch):
+        # with the bundled OpenBLAS, the Cholesky factor is the only
+        # factorisation: no LU solve runs
+        if linalg._DTRSM is None:
+            pytest.skip("numpy bundles no OpenBLAS with cblas_dtrsm")
+
+        def lu_solve(*args):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", lu_solve)
+        g = np.array([[4.0, 2.0], [2.0, 3.0]])
+        assert_allclose(spd_solve(g, [[2.0], [1.0]]), [[0.5], [0.0]],
+                        atol=1e-15)
+
+    @staticmethod
+    def _run_fit(tmp_path, check):
+        """Fit, predict and invert in a fresh interpreter, then run ``check``."""
         code = (
             "import sys\n"
             "import numpy as np\n"
@@ -145,14 +188,73 @@ class TestSpdSolve:
             "net = fit_network(mlp_specs([8], lam_hidden=1.0, lam_output=1.0),\n"
             "                  Dataset(x, y, ['a', 'b', 'c']), batch_size=16)\n"
             "predict(net, x)\n"
-            "pseudo_inverse_rows(x[:4])\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
-            "assert 'scipy.linalg' not in sys.modules\n")
+            "pseudo_inverse_rows(x[:4])\n" + check)
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, cwd=tmp_path,
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_fit_does_not_load_scipy_linalg(self, tmp_path):
+        # fpnet keeps to numpy's own BLAS and LAPACK; a second BLAS runtime
+        # (scipy's) would compete with numpy's threads for the same cores
+        self._run_fit(tmp_path, (
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "assert 'scipy.linalg' not in sys.modules\n"))
+
+    def test_fit_maps_one_openblas(self, tmp_path):
+        # binding cblas_dtrsm must reuse the OpenBLAS numpy has loaded, not
+        # map a second copy of it
+        if not os.path.exists("/proc/self/maps"):
+            pytest.skip("no /proc/self/maps")
+        if linalg._DTRSM is None:
+            pytest.skip("numpy bundles no OpenBLAS with cblas_dtrsm")
+        self._run_fit(tmp_path, (
+            "from fpnet import linalg\n"
+            "assert linalg._DTRSM is not None\n"
+            "with open('/proc/self/maps') as f:\n"
+            "    fields = [line.split(maxsplit=5) for line in f]\n"
+            "paths = {p[5].strip() for p in fields\n"
+            "         if len(p) == 6 and 'openblas' in p[5].rsplit('/', 1)[-1]}\n"
+            "print(paths)\n"
+            "assert len(paths) == 1\n"))
+
+
+def _spd_solve_error(g, b):
+    with pytest.raises((ValueError, NotPositiveDefiniteError)) as err:
+        spd_solve(g, b)
+    return type(err.value), str(err.value), getattr(err.value, "pivot_index", None)
+
+
+class TestSpdSolveFallback:
+    """Where numpy bundles no OpenBLAS, np.linalg.solve gives x."""
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (3, 10), (64, 1000)])
+    def test_same_results(self, monkeypatch, n, k):
+        rng = SeededRng(n + k)
+        a = rng.standard_normal((n + 8, n))
+        g = a.T @ a / (n + 8) + np.eye(n)
+        b = np.asfortranarray(rng.standard_normal((n, k)))
+        bound = spd_solve(g, b)
+        monkeypatch.setattr(linalg, "_DTRSM", None)
+        fallback = spd_solve(g, b)
+        assert fallback.flags.c_contiguous
+        assert np.linalg.norm(fallback - bound) <= 1e-12 * np.linalg.norm(bound)
+
+    @pytest.mark.parametrize("g, b", [
+        (np.ones((2, 3)), np.ones((2, 1))),
+        (np.eye(2), np.ones((3, 1))),
+        (np.array([[2.0, 1.0], [0.0, 2.0]]), np.ones((2, 1))),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.ones((2, 1))),
+        (np.diag([1.0, -1.0]), np.ones((2, 1))),
+        (np.diag([1.0, 1e-14]), np.ones((2, 1))),
+        (np.eye(2), np.array([[1.0], [np.inf]])),
+    ], ids=["non-square", "rows", "asymmetric", "non-finite", "indefinite",
+            "below-floor", "non-finite-result"])
+    def test_same_errors(self, monkeypatch, g, b):
+        bound = _spd_solve_error(g, b)
+        monkeypatch.setattr(linalg, "_DTRSM", None)
+        assert _spd_solve_error(g, b) == bound
 
 
 class TestSignInPlace:
