@@ -1,7 +1,9 @@
 """Logical cost accounting: multiply-accumulate counts and peak matrix memory.
 
 Counts are logical MACs implied by the mathematical operation (a matmul of
-(m, k) by (k, n) costs m*k*n), not hardware instruction counts. A ledger is
+(m, k) by (k, n) costs m*k*n), not hardware instruction counts. So a Gram
+update a.T @ a of a (b, m) batch counts m*b*m, though the symmetric rank-k
+update that computes it does m(m+1)/2*b multiplies. A ledger is
 installed for the duration of a ``track`` block; library code reports into
 whichever ledger is active and stays silent otherwise.
 """

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import accounting
 from .errors import DivergenceError
-from .linalg import activate, as_matrix, ensure_finite, spd_solve
+from .linalg import (activate, add_gram, as_matrix, ensure_finite,
+                     mirror_upper, spd_solve)
 
 TARGET_NONLINEARITIES = ("sign", "identity", "tanh")
 
@@ -146,6 +147,11 @@ class GramAccumulator:
     on arrival. Reading ``ata`` or ``atz`` folds as well. A batch must not
     be modified after it is passed in.
 
+    The sums are added to in place (``linalg.add_gram``), with no per-batch
+    temporary. Only the upper triangle of ``ata`` is accumulated; reading
+    ``ata`` mirrors it onto the lower one, so what a reader gets is exactly
+    symmetric.
+
     Not safe for concurrent writers.
     """
 
@@ -161,7 +167,7 @@ class GramAccumulator:
     @property
     def ata(self):
         self._fold()
-        return self._ata
+        return mirror_upper(self._ata)
 
     @property
     def atz(self):
@@ -202,9 +208,9 @@ class GramAccumulator:
         return self.kept[0]
 
     def _add(self, a, z):
-        self._ata += a.T @ a
-        self._atz += a.T @ z
+        add_gram(self._ata, self._atz, a, z)
         b, m = a.shape
+        # logical MACs of a.T @ a; the rank-k update runs m(m+1)/2 b of them
         accounting.add_macs("gram",
                             accounting.matmul_macs(m, b, m)
                             + accounting.matmul_macs(m, b, z.shape[1]))

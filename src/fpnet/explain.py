@@ -229,10 +229,16 @@ def render_map(emap, class_index, upsample_to):
 
 def write_map_csv(grid, path):
     """Write a rendered map as row,col,score lines (1-D grids get row 0)."""
-    grid = np.atleast_2d(np.asarray(grid, dtype=np.float64))
-    # Python floats format as numpy's do, without a scalar per element
-    lines = [f"{r},{c},{v:.10g}\n"
-             for r, row in enumerate(grid.tolist()) for c, v in enumerate(row)]
+    grid = np.ascontiguousarray(np.atleast_2d(grid), dtype=np.float64)
+    # each distinct value is formatted once; keying on the bit patterns
+    # keeps -0.0 apart from 0.0. Python floats format as numpy's do.
+    keys, which = np.unique(grid.view(np.uint64), return_inverse=True)
+    texts = [f"{v:.10g}\n" for v in keys.view(np.float64).tolist()]
+    cols = [f",{c}," for c in range(grid.shape[1])]
+    lines = []
+    for r, row in enumerate(which.reshape(grid.shape).tolist()):
+        head = str(r)
+        lines += [head + col + texts[i] for col, i in zip(cols, row)]
     with open(path, "w") as fh:
         fh.write("row,col,score\n" + "".join(lines))
 

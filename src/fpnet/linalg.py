@@ -5,10 +5,16 @@ dimension are rejected at every public entry point. Determinism is
 per-implementation: the same seed always reproduces the same draws within
 this package, but no bit-level agreement with other libraries is promised.
 
-Every kernel runs on numpy's own BLAS and LAPACK. numpy has no triangular
-solve, so ``spd_solve`` calls ``cblas_dtrsm`` through ctypes from the
-OpenBLAS that numpy's wheels bundle and have already loaded; where numpy is
-built on another BLAS it falls back to ``np.linalg.solve``.
+Every kernel runs on numpy's own BLAS and LAPACK. numpy has no in-place
+rank-k update, no triangular solve and no in-place Cholesky, so
+``add_gram`` (``cblas_dsyrk``, ``cblas_dgemm``) and ``spd_solve``
+(``dpotrf``, ``cblas_dtrsm``) call them through ctypes from the OpenBLAS
+that numpy's wheels bundle and have already loaded. Where numpy is built
+on another BLAS, each falls back to plain numpy: ``a.T @ a``,
+``np.linalg.cholesky`` and ``np.linalg.solve``.
+
+Gram sums built by ``add_gram`` hold only their upper triangle;
+``mirror_upper`` copies it onto the lower one when the sums are read.
 """
 
 import ctypes
@@ -23,7 +29,8 @@ from .errors import NotPositiveDefiniteError, RankDeficientError
 # Relative floor under which a squared Cholesky pivot counts as a failure.
 PIVOT_FLOOR = 1e-12
 
-# Rows of g compared per step of spd_solve's symmetry check.
+# Rows per step of the blocked passes over a square matrix: spd_solve's
+# symmetry check and mirror_upper.
 SYMMETRY_BLOCK_ROWS = 64
 
 # Singular values below DEFAULT_RANK_TOL * s_max do not count toward rank.
@@ -32,13 +39,14 @@ DEFAULT_RANK_TOL = 1e-9
 # Floats per step of sign_in_place (512 KiB of float64).
 SIGN_BLOCK_FLOATS = 2**16
 
-# CBLAS enum values: row-major, left side, lower, no-trans, trans, non-unit.
-_ROW_MAJOR, _LEFT, _LOWER, _NO_TRANS, _TRANS, _NON_UNIT = (
-    101, 141, 122, 111, 112, 131)
+# CBLAS enum values: row-major, left side, upper, lower, no-trans, trans,
+# non-unit.
+_ROW_MAJOR, _LEFT, _UPPER, _LOWER, _NO_TRANS, _TRANS, _NON_UNIT = (
+    101, 141, 121, 122, 111, 112, 131)
 
 
-def _bundled_dtrsm():
-    """``cblas_dtrsm`` of the OpenBLAS bundled with numpy, or None.
+def _bundled(symbol, *argtypes):
+    """``symbol`` of the OpenBLAS bundled with numpy, typed, or None.
 
     numpy's wheels ship an ILP64 OpenBLAS under ``numpy.libs`` whose
     symbols carry a ``scipy_`` prefix and a ``64_`` suffix; opening the
@@ -48,18 +56,32 @@ def _bundled_dtrsm():
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(glob.glob(str(libs / "*openblas*"))):
         try:
-            fn = ctypes.CDLL(path).scipy_cblas_dtrsm64_
+            fn = getattr(ctypes.CDLL(path), symbol)
         except (OSError, AttributeError):
             continue
-        i64, enum = ctypes.c_int64, ctypes.c_int
-        fn.argtypes = [enum] * 5 + [i64, i64, ctypes.c_double,
-                                    ctypes.c_void_p, i64, ctypes.c_void_p, i64]
+        fn.argtypes = list(argtypes)
         fn.restype = None
         return fn
     return None
 
 
-_DTRSM = _bundled_dtrsm()
+# integers are int64 (ILP64); CBLAS enums are C ints; LAPACK takes every
+# argument by reference
+_I64, _ENUM, _F64, _PTR = (ctypes.c_int64, ctypes.c_int, ctypes.c_double,
+                           ctypes.c_void_p)
+_I64_REF = ctypes.POINTER(_I64)
+# (order, side, uplo, trans, diag, m, n, alpha, a, lda, b, ldb)
+_DTRSM = _bundled("scipy_cblas_dtrsm64_", *[_ENUM] * 5, _I64, _I64, _F64,
+                  _PTR, _I64, _PTR, _I64)
+# (order, uplo, trans, n, k, alpha, a, lda, beta, c, ldc)
+_DSYRK = _bundled("scipy_cblas_dsyrk64_", *[_ENUM] * 3, _I64, _I64, _F64,
+                  _PTR, _I64, _F64, _PTR, _I64)
+# (order, transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+_DGEMM = _bundled("scipy_cblas_dgemm64_", *[_ENUM] * 3, _I64, _I64, _I64,
+                  _F64, _PTR, _I64, _PTR, _I64, _F64, _PTR, _I64)
+# (uplo, n, a, lda, info)
+_DPOTRF = _bundled("scipy_dpotrf_64_", ctypes.c_char_p, _I64_REF, _PTR,
+                   _I64_REF, _I64_REF)
 
 
 def as_matrix(a, name="matrix"):
@@ -159,14 +181,57 @@ def activate(kind, z, in_place=False):
     raise ValueError(f"unknown activation {kind!r}")
 
 
+def add_gram(ata, atz, a, z):
+    """Add a.T @ a to ``ata`` and a.T @ z to ``atz``, in place.
+
+    ``ata`` (m, m) and ``atz`` (m, k) are C-ordered float64 sums, ``a``
+    (b, m) and ``z`` (b, k) one batch. On numpy's OpenBLAS, ``cblas_dsyrk``
+    adds into the upper triangle of ``ata`` only and ``cblas_dgemm`` into
+    ``atz``, with no temporary; ``mirror_upper`` makes ``ata`` whole again.
+    Elsewhere numpy adds whole products.
+    """
+    b, m = a.shape
+    k = z.shape[1]
+    if (ata.shape != (m, m) or atz.shape != (m, k) or z.shape[0] != b
+            or not (ata.flags.c_contiguous and atz.flags.c_contiguous)
+            or ata.dtype != np.float64 or atz.dtype != np.float64):
+        raise ValueError("Gram sums and batch do not conform")
+    if _DSYRK is None or _DGEMM is None:
+        ata += a.T @ a
+        atz += a.T @ z
+        return
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    z = np.ascontiguousarray(z, dtype=np.float64)
+    _DSYRK(_ROW_MAJOR, _UPPER, _TRANS, m, b, 1.0, a.ctypes.data, m, 1.0,
+           ata.ctypes.data, m)
+    _DGEMM(_ROW_MAJOR, _TRANS, _NO_TRANS, m, k, b, 1.0, a.ctypes.data, m,
+           z.ctypes.data, k, 1.0, atz.ctypes.data, k)
+
+
+def mirror_upper(s):
+    """Copy the upper triangle of square ``s`` onto its lower one, in place.
+
+    One pass over ``s`` by blocks of rows; returns ``s``, now exactly
+    symmetric.
+    """
+    n = s.shape[0]
+    for i in range(0, n, SYMMETRY_BLOCK_ROWS):
+        j = min(i + SYMMETRY_BLOCK_ROWS, n)
+        s[i:j, :i] = s[:i, i:j].T
+        block = s[i:j, i:j]
+        block[...] = np.triu(block) + np.triu(block, 1).T
+    return s
+
+
 def spd_solve(g, b):
     """Solve g @ x = b for symmetric positive definite ``g``.
 
     One Cholesky factorisation g = L L.T checks definiteness and the
     pivots, then two in-place triangular solves on a C-ordered copy of
-    ``b`` give x: L y = b, then L.T x = y. Both run on numpy's OpenBLAS;
-    where numpy bundles none, ``np.linalg.solve`` gives x after the same
-    checks. ``b`` is left unchanged.
+    ``b`` give x: L y = b, then L.T x = y. Both run on numpy's OpenBLAS
+    (``dpotrf`` on a C-ordered copy of ``g``, then ``cblas_dtrsm``); where
+    numpy bundles none, ``np.linalg.cholesky`` and ``np.linalg.solve`` do
+    the same checks and give x. ``b`` is left unchanged.
 
     Parameters
     ----------
@@ -207,10 +272,7 @@ def spd_solve(g, b):
     # the solution overwrites this copy; allocated before the factor, it
     # lands below it on the heap, which keeps the fit's peak RSS down
     x = np.array(b, order="C")
-    try:
-        factor = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(_first_failing_pivot(g)) from None
+    factor = _cholesky(g)
     diag = np.diagonal(factor)
     floor = PIVOT_FLOOR * max(1.0, float(np.max(np.abs(np.diagonal(g)))))
     small = np.nonzero(diag * diag < floor)[0]
@@ -220,12 +282,36 @@ def spd_solve(g, b):
         ))
     if _DTRSM is None:
         return ensure_finite(np.linalg.solve(g, x), "spd_solve result")
-    factor = np.ascontiguousarray(factor)
     k = x.shape[1]
     for trans in (_NO_TRANS, _TRANS):
         _DTRSM(_ROW_MAJOR, _LEFT, _LOWER, trans, _NON_UNIT, n, k, 1.0,
                factor.ctypes.data, n, x.ctypes.data, k)
     return ensure_finite(x, "spd_solve result")
+
+
+def _cholesky(g):
+    """C-ordered Cholesky factor of ``g`` in its lower triangle.
+
+    ``dpotrf`` factors a C-ordered copy of ``g`` in place: uplo 'U' on a
+    column-major view of it is the lower factor in row-major order, and the
+    upper triangle keeps g's entries. Its ``info`` is the order of the first
+    minor that is not positive definite. Without the binding,
+    ``np.linalg.cholesky`` factors and a bisection finds that order.
+    Raises NotPositiveDefiniteError carrying the 0-based failing pivot.
+    """
+    if _DPOTRF is None:
+        try:
+            return np.ascontiguousarray(np.linalg.cholesky(g))
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefiniteError(_first_failing_pivot(g)) from None
+    factor = np.array(g, order="C")
+    n, info = _I64(g.shape[0]), _I64()
+    _DPOTRF(b"U", n, factor.ctypes.data, n, info)
+    if info.value < 0:
+        raise ValueError(f"dpotrf rejected argument {-info.value}")
+    if info.value > 0:
+        raise NotPositiveDefiniteError(info.value - 1)
+    return factor
 
 
 def _first_failing_pivot(g):

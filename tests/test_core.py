@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fpnet import accounting
+from fpnet import accounting, linalg
 from fpnet.core import (GramAccumulator, RidgeConfig, TargetGenSpec,
                         fit_weights, generate_targets, iterative_update,
                         ridge_solve)
@@ -393,3 +393,48 @@ class TestIterativeUpdate:
                 pytest.raises(DivergenceError, match="non-finite"):
             iterative_update(np.ones((1, 1)), np.array([[1e200]]),
                              np.array([[0.0]]), eta=1.0, lam=0.0)
+
+
+class TestGramAccumulatorInPlace:
+    """The sums are added to in place: on numpy's OpenBLAS by dsyrk (upper
+    triangle) and dgemm, otherwise by numpy; either way they match the
+    products of the stacked rows and ``ata`` reads exactly symmetric."""
+
+    @pytest.mark.parametrize("bound", [True, False], ids=["blas", "numpy"])
+    def test_uneven_batches_match_stacked_products(self, monkeypatch, bound):
+        if bound and (linalg._DSYRK is None or linalg._DGEMM is None):
+            pytest.skip("numpy bundles no OpenBLAS with dsyrk and dgemm")
+        if not bound:
+            monkeypatch.setattr(linalg, "_DSYRK", None)
+            monkeypatch.setattr(linalg, "_DGEMM", None)
+        rng = SeededRng(90)
+        a = rng.standard_normal((700, 150))  # over two mirror blocks
+        z = rng.standard_normal((700, 5))
+        acc = GramAccumulator(150, 5)
+        # the first batches stay under 150 rows (kept, then folded by the
+        # read); one batch is Fortran-ordered and one a strided view
+        edges = [0, 1, 30, 83, 84, 337, 512, 700]
+        for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            a_b, z_b = a[lo:hi], z[lo:hi]
+            if i == 3:
+                a_b, z_b = np.asfortranarray(a_b), np.asfortranarray(z_b)
+            if i == 5:
+                a_b = np.repeat(a_b, 2, axis=1)[:, ::2]
+            acc.update(a_b, z_b)
+            ata, atz = acc.ata, acc.atz
+            assert np.array_equal(ata, ata.T)
+            ref_ata, ref_atz = a[:hi].T @ a[:hi], a[:hi].T @ z[:hi]
+            assert (np.linalg.norm(ata - ref_ata)
+                    <= 1e-13 * np.linalg.norm(ref_ata)), hi
+            assert (np.linalg.norm(atz - ref_atz)
+                    <= 1e-13 * np.linalg.norm(ref_atz)), hi
+        assert acc.n_seen == 700
+
+    @pytest.mark.parametrize("ata, atz", [
+        (np.zeros((3, 3)), np.zeros((2, 2))),
+        (np.zeros((3, 3), order="F"), np.zeros((3, 2))),
+        (np.zeros((3, 3), dtype=np.float32), np.zeros((3, 2))),
+    ], ids=["shape", "fortran", "float32"])
+    def test_non_conforming_sums_rejected(self, ata, atz):
+        with pytest.raises(ValueError, match="do not conform"):
+            linalg.add_gram(ata, atz, np.ones((5, 3)), np.ones((5, 2)))

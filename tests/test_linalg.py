@@ -338,3 +338,46 @@ class TestRankEstimate:
     def test_nonpositive_tol_rejected(self):
         with pytest.raises(ValueError):
             rank_estimate(np.eye(2), tol=0.0)
+
+
+class TestSpdSolveDpotrf:
+    """On numpy's OpenBLAS, dpotrf factors a C-ordered copy of g in place
+    and its info names the failing pivot."""
+
+    @pytest.fixture(autouse=True)
+    def _bound(self):
+        if linalg._DPOTRF is None:
+            pytest.skip("numpy bundles no OpenBLAS with dpotrf")
+
+    @pytest.mark.parametrize("i", range(8))
+    def test_info_pivot_is_the_bisections(self, monkeypatch, i):
+        g = np.eye(8)
+        g[i, i] = -1.0
+        with pytest.raises(NotPositiveDefiniteError) as bound:
+            spd_solve(g, np.ones((8, 2)))
+        assert bound.value.pivot_index == linalg._first_failing_pivot(g) == i
+        monkeypatch.setattr(linalg, "_DPOTRF", None)
+        with pytest.raises(NotPositiveDefiniteError) as fallback:
+            spd_solve(g, np.ones((8, 2)))
+        assert str(fallback.value) == str(bound.value)
+
+    def test_no_numpy_cholesky(self, monkeypatch):
+        def cholesky(*args):
+            raise AssertionError("np.linalg.cholesky called")
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        g = np.array([[4.0, 2.0], [2.0, 3.0]])
+        assert_allclose(spd_solve(g, [[2.0], [1.0]]), [[0.5], [0.0]],
+                        atol=1e-15)
+
+    def test_factor_matches_numpy(self):
+        rng = SeededRng(77)
+        a = rng.standard_normal((300, 250))
+        g = a.T @ a / 300 + np.eye(250)
+        factor = linalg._cholesky(g)
+        assert factor.flags.c_contiguous
+        assert_allclose(np.tril(factor), np.linalg.cholesky(g),
+                        rtol=0, atol=1e-12)
+        # the strict upper triangle is g's, untouched
+        upper = np.triu_indices(250, 1)
+        assert np.array_equal(factor[upper], g[upper])
