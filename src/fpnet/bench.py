@@ -12,7 +12,7 @@ from . import accounting
 from .accounting import CostLedger
 from .baselines import BaselineKind, fit_baseline_network
 from .core import RidgeConfig, TargetGenSpec
-from .layers import LayerSpec, fit_network, predict
+from .layers import LayerSpec, draw_projections, fit_network, predict
 from .linalg import SeededRng
 from .metrics import metric_report
 from .data import few_shot_subsample
@@ -49,45 +49,58 @@ def mlp_specs(hidden_widths, activation="relu", g="sign", alpha=0.0,
 
 
 def fit_method(method, specs, train, mode="closed_form", batch_size=256,
-               seed=0):
-    """Fit ``specs`` with the main method ("fp") or a named baseline."""
+               seed=0, projections=None):
+    """Fit ``specs`` with the main method ("fp") or a named baseline.
+
+    projections : shared (q, u) pairs, as ``layers.draw_projections`` gives
+        them; by default each layer draws its own.
+    """
     if method == "fp":
-        return fit_network(specs, train, mode=mode, batch_size=batch_size)
+        return fit_network(specs, train, mode=mode, batch_size=batch_size,
+                           projections=projections)
     kind = BaselineKind(method)
     return fit_baseline_network(kind, specs, train, batch_size=batch_size,
-                                noise_seed=derive_noise_seed(seed), mode=mode)
+                                noise_seed=derive_noise_seed(seed), mode=mode,
+                                projections=projections)
 
 
 def run_benchmark(specs, train, test, mode="closed_form", batch_size=256,
-                  seed=0, method="fp"):
+                  seed=0, method="fp", projections=None):
     """Fit, score the test split, and return (MetricReport, CostLedger)."""
     ledger = CostLedger()
     with accounting.track(ledger):
         net = fit_method(method, specs, train, mode=mode,
-                         batch_size=batch_size, seed=seed)
+                         batch_size=batch_size, seed=seed,
+                         projections=projections)
         scores, _ = predict(net, test.x)
     return metric_report(scores, test.y, seed=seed), ledger
+
+
+def _projections(specs, train):
+    return draw_projections(specs, train.x.shape[1:], train.y.shape[1])
 
 
 def bottleneck_sweep(train, test, widths=(100, 200, 400, 800),
                      base_widths=(1000, 1000), activation="relu", g="sign",
                      seed=0, batch_size=256, methods=METHODS):
-    """All methods across final-hidden-layer widths; one result row each."""
-    rows = []
-    for method in methods:
-        for width in widths:
-            specs = mlp_specs([*base_widths, width], activation=activation,
-                              g=g, seed=seed)
+    """All methods across final-hidden-layer widths; one result row each,
+    method by method. Every method at a width shares one draw of q and u."""
+    rows = {}
+    for width in widths:
+        specs = mlp_specs([*base_widths, width], activation=activation,
+                          g=g, seed=seed)
+        projections = _projections(specs, train)
+        for method in methods:
             report, ledger = run_benchmark(specs, train, test,
                                            batch_size=batch_size, seed=seed,
-                                           method=method)
-            rows.append({"method": method, "width": int(width),
-                         "accuracy": report.accuracy,
-                         "auc_macro": report.auc_macro,
-                         "aupr_macro": report.aupr_macro,
-                         "n": report.n, "seed": seed,
-                         "total_macs": ledger.total_macs})
-    return rows
+                                           method=method,
+                                           projections=projections)
+            rows[method, width] = {
+                "method": method, "width": int(width),
+                "accuracy": report.accuracy, "auc_macro": report.auc_macro,
+                "aupr_macro": report.aupr_macro, "n": report.n, "seed": seed,
+                "total_macs": ledger.total_macs}
+    return [rows[method, width] for method in methods for width in widths]
 
 
 def fewshot_sweep(train, test, shots=(5, 10, 15, 20, 30, 40, 50),
@@ -96,21 +109,23 @@ def fewshot_sweep(train, test, shots=(5, 10, 15, 20, 30, 40, 50),
     """Accuracy versus training samples per class, repeated over seeds.
 
     Each cell subsamples the training split with its own seed, fits from
-    scratch, and scores the full test split.
+    scratch, and scores the full test split. All cells of a seed share one
+    draw of q and u. Rows come shot by shot, seed by seed within a shot.
     """
-    rows = []
-    for n_shot in shots:
-        for seed in seeds:
+    rows = {}
+    for seed in seeds:
+        specs = mlp_specs(hidden, activation=activation, g=g, seed=seed)
+        projections = _projections(specs, train)
+        for n_shot in shots:
             subset = few_shot_subsample(train, n_shot, SeededRng(seed))
-            specs = mlp_specs(hidden, activation=activation, g=g, seed=seed)
             report, _ = run_benchmark(specs, subset, test,
                                       batch_size=batch_size, seed=seed,
-                                      method=method)
-            rows.append({"method": method, "shots": int(n_shot),
-                         "seed": int(seed), "accuracy": report.accuracy,
-                         "auc_macro": report.auc_macro,
-                         "aupr_macro": report.aupr_macro, "n": report.n})
-    return rows
+                                      method=method, projections=projections)
+            rows[n_shot, seed] = {
+                "method": method, "shots": int(n_shot), "seed": int(seed),
+                "accuracy": report.accuracy, "auc_macro": report.auc_macro,
+                "aupr_macro": report.aupr_macro, "n": report.n}
+    return [rows[n_shot, seed] for n_shot in shots for seed in seeds]
 
 
 def rows_to_csv(rows, path):

@@ -37,9 +37,9 @@ from .errors import (CheckpointFormatError, ConfigError, DataConsistencyError,
                      NotPositiveDefiniteError, RankDeficientError,
                      UndefinedMetricError, UnsupportedNonlinearityError)
 from .explain import explain_layer, input_origin, render_map, write_map_csv, write_map_pgm
-from .layers import (ACTIVATIONS, CONV_DIMS, LAYER_KINDS, IterativeConfig,
-                     LayerSpec, fit_network, network_forward, potentials,
-                     predict)
+from .layers import (ACTIVATIONS, CONV_DIMS, KIND_FIELDS, LAYER_KINDS,
+                     IterativeConfig, LayerSpec, fit_network, network_forward,
+                     potentials, predict)
 from .linalg import SeededRng
 from .metrics import MetricReport, metric_report
 
@@ -51,8 +51,11 @@ EVAL_READS, SWEEP_READS = TOP_KEYS[:3], TOP_KEYS[:5]
 DATA_KEYS = {"kind", "train_images", "train_labels", "test_images",
              "test_labels", "n", "test_n", "dim", "classes", "separation",
              "data_seed"}
-# The spec dataclasses whose fields each layer kind takes as config keys
-LAYER_CLASSES = {"global_avg_pool": (), "output": (RidgeConfig,)}
+# LayerSpec fields that a layer entry spells out as their dataclass's fields
+LAYER_PARTS = {"target": TargetGenSpec, "ridge": RidgeConfig}
+# Keys that older resolved configs wrote into every dense entry, at their
+# defaults: still read, so that those configs replay, but no longer written
+LEGACY_DENSE_KEYS = ("kernel", "stride")
 BATCH_SIZE = inspect.signature(fit_network).parameters["batch_size"].default
 
 
@@ -175,25 +178,33 @@ def _resolve_layer(entry, idx, top):
     kind = entry["kind"]
     if kind not in LAYER_KINDS:
         raise ConfigError(f"{where} has unknown kind {kind!r}")
-    classes = LAYER_CLASSES.get(kind, (LayerSpec, TargetGenSpec, RidgeConfig))
-    fields = {f.name: f for cls in classes for f in dataclasses.fields(cls)
-              if f.name not in ("kind", "target", "ridge")}
-    _check_keys(entry, {"kind", *fields}, where)
+    spec_fields = LayerSpec.__dataclass_fields__
+    # the fields the kind reads (conv kinds read every one), as config keys
+    reads = KIND_FIELDS.get(kind, [name for name in spec_fields
+                                   if name != "kind"])
+    fields = {}
+    for name in reads:
+        part = LAYER_PARTS.get(name)
+        fields.update({f.name: f for f in dataclasses.fields(part)} if part
+                      else {name: spec_fields[name]})
+    legacy = LEGACY_DENSE_KEYS if kind == "dense" else ()
+    _check_keys(entry, {"kind", *fields, *legacy}, where)
     values = {name: f.default for name, f in fields.items()}
     if kind == "output":
         values["lam"] = top["lambda_output"]
     elif kind != "global_avg_pool":
         values["q_seed"], values["u_seed"] = derive_layer_seeds(top["seed"], idx)
         values.update(activation="relu", g=top["target_g"], alpha=top["alpha"],
-                      lam=top["lambda_hidden"],
-                      kernel=(1,) * CONV_DIMS.get(kind, 1))
-    values.update({key: _field_value(value, fields[key], f"{where}.{key}")
+                      lam=top["lambda_hidden"])
+        if kind in CONV_DIMS:
+            values["kernel"] = (1,) * CONV_DIMS[kind]
+    values.update({key: _field_value(value, fields.get(key) or spec_fields[key],
+                                     f"{where}.{key}")
                    for key, value in entry.items() if key != "kind"})
-    parts = {key: _build(cls, values, where) for key, cls in
-             (("target", TargetGenSpec), ("ridge", RidgeConfig))
-             if cls in classes}
+    parts = {name: _build(LAYER_PARTS[name], values, where)
+             for name in reads if name in LAYER_PARTS}
     spec = _build(LayerSpec, {"kind": kind, **values, **parts}, where)
-    return spec, {"kind": kind, **values}
+    return spec, {"kind": kind, **{name: values[name] for name in fields}}
 
 
 def resolve_config(cfg, args, reads=TOP_KEYS):

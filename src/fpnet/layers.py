@@ -409,13 +409,17 @@ def make_batches(x, y, batch_size):
 
 
 def fit_network(specs, dataset, mode="closed_form", batch_size=256,
-                targets=None):
+                targets=None, projections=None):
     """Fit a whole network layer by layer, front to back.
 
-    Each trainable layer consumes exactly one pass over the data in
+    Each trainable layer consumes exactly one pass over its input in
     closed-form mode (``IterativeConfig.epochs`` passes in iterative mode),
-    with earlier layers already frozen and applied on the fly. No error
-    signal ever flows backward.
+    with earlier layers already frozen. No error signal ever flows backward.
+    Right after a layer is fitted, its output is computed once and kept for
+    the layers after it, if the whole of it fits INFERENCE_BUDGET_BYTES (as
+    the shapes size it); a larger one is recomputed from the last kept input
+    for each layer that reads it. The batches are the same either way, and
+    so are the weights, bit for bit.
 
     dataset : anything with .x / .y / .class_names, or an (x, y) pair.
     mode : "closed_form" or an IterativeConfig, whose batch size then
@@ -430,67 +434,119 @@ def fit_network(specs, dataset, mode="closed_form", batch_size=256,
         to rounding, do not depend on where batches end.
     targets : the hidden layers' target source, as in ``fit_layer``;
         Forward Projection's ``generate_targets`` by default.
+    projections : one (q, u) pair per spec (None for pooling and output
+        layers), as ``draw_projections`` gives them; by default each layer
+        draws its own from its target seeds as it is fitted.
     """
     specs = list(specs)
     kinds = [s.kind for s in specs]
     if kinds.count("output") != 1 or kinds[-1] != "output":
         raise ValueError("specs must contain exactly one output layer, last")
+    if projections is None:
+        projections = [None] * len(specs)
+    elif len(projections) != len(specs):
+        raise ValueError(f"{len(projections)} projections for "
+                         f"{len(specs)} layers")
     iterative = _is_iterative(mode)
     x, y, class_names = _dataset_xy(dataset)
+    walk = _shape_walk(_fit_steps(specs, y.shape[1]), x.shape[1:])
+    widths = _sample_widths(walk)
     if iterative:
         batch_size = mode.batch
-    else:
-        widths = _sample_widths(
-            ((s, None, y.shape[1] if s.kind == "output" else s.out_channels)
-             for s in specs), x.shape[1:])
-        if widths is not None:
-            widest, gram = widths
-            # grown no larger than the Gram sums, which do not grow with n,
-            # and never past the working-set budget
-            batch_size = min(max(batch_size, gram * gram // widest),
-                             _budget_rows(widest))
-    raw = make_batches(x, y, batch_size)
+    elif widths is not None:
+        widest, gram = widths
+        # grown no larger than the Gram sums, which do not grow with n,
+        # and never past the working-set budget
+        batch_size = min(max(batch_size, gram * gram // widest),
+                         _budget_rows(widest))
+    source, prefix = make_batches(x, y, batch_size), []
     if not class_names:
         class_names = [str(i) for i in range(y.shape[1])]
 
     trained = []
-    for spec in specs:
-        prefix = list(trained)
-
-        def stream(prefix=prefix):
-            for xb, yb in raw():
-                # handed over out of a list, so that this generator holds
-                # no reference to the batch while fit_layer uses it
-                ab = [xb]
-                for tl in prefix:
-                    ab[0] = forward(tl, ab[0])
-                yield ab.pop(), yb
-
-        trained.append(TrainedLayer(spec) if spec.kind == "global_avg_pool"
-                       else fit_layer(spec, stream, mode=mode, targets=targets))
+    for k, (spec, drawn) in enumerate(zip(specs, projections)):
+        q, u = drawn or (None, None)
+        trained.append(
+            TrainedLayer(spec) if spec.kind == "global_avg_pool"
+            else fit_layer(spec, _replay(source, prefix), q=q, u=u,
+                           mode=mode, targets=targets))
+        prefix.append(trained[-1])
+        if (k + 1 < len(specs) and walk is not None
+                and 8 * len(x) * math.prod(walk[k][2])
+                <= INFERENCE_BUDGET_BYTES):
+            source, prefix = _kept(_replay(source, prefix)), []
     return Network(trained, label_dim=y.shape[1], class_names=class_names)
 
 
-def _sample_widths(steps, sample_shape):
-    """Widths that ``steps`` reach from one sample shaped ``sample_shape``.
+def _replay(batches, layers):
+    """Factory over the batches of factory ``batches``, each run through
+    ``layers``."""
+    def stream():
+        for xb, yb in batches():
+            # handed over out of a list, so that this generator holds no
+            # reference to the batch while its consumer uses it
+            ab = [xb]
+            for tl in layers:
+                ab[0] = forward(tl, ab[0])
+            yield ab.pop(), yb
+
+    return stream
+
+
+def _kept(stream):
+    """Factory over the batches of ``stream``, each computed here once."""
+    batches = list(stream())
+    return lambda: iter(batches)
+
+
+def _fit_steps(specs, label_dim):
+    """``_shape_walk`` steps for fitting ``specs``: input widths taken from
+    the shapes, output widths from the specs and the labels."""
+    return [(s, None, label_dim if s.kind == "output" else s.out_channels)
+            for s in specs]
+
+
+def draw_projections(specs, sample_shape, label_dim):
+    """The (q, u) pair of each layer of ``specs``, None for pooling and
+    output layers, drawn exactly as ``fit_layer`` draws them for input
+    samples shaped ``sample_shape``.
+
+    The arrays are read-only, so that no fit sharing them can change them.
+    """
+    specs = list(specs)
+    walk = _shape_walk(_fit_steps(specs, label_dim), sample_shape)
+    if walk is None:
+        raise ValueError(f"layers do not chain from samples shaped "
+                         f"{tuple(sample_shape)}")
+    drawn = [None if spec.kind in ("global_avg_pool", "output")
+             else _draw_projections(spec, width, label_dim)
+             for spec, (width, _, _) in zip(specs, walk)]
+    for m in (m for pair in drawn if pair for m in pair):
+        m.setflags(write=False)
+    return drawn
+
+
+def _shape_walk(steps, sample_shape):
+    """One sample shaped ``sample_shape`` walked through ``steps``.
 
     steps : (spec, in_width, out_width) per layer, the widths those of the
         layer's weight matrix; an in_width of None is taken from the shape
         that reaches the layer. Pooling layers ignore both widths.
 
-    Returns (widest, gram): the floats of the widest intermediate built, a
-    conv layer's window matrix or output or the activations of a dense or
-    output layer, and the largest in_width, the side of the largest Gram
-    matrix a fit accumulates. None when the shapes do not chain or no layer
-    has weights.
+    Returns one (width, built, shape) per step: the width of the layer's
+    design rows, also the side of the Gram matrix its fit accumulates (0 for
+    pooling); the floats of the widest intermediate it builds, a conv
+    layer's window matrix or output or the activations of a dense or output
+    layer; and the shape of its output. None when the shapes do not chain.
     """
-    shape, widest, gram = tuple(sample_shape), 0, 0
+    shape, walk = tuple(sample_shape), []
     for spec, w_in, w_out in steps:
         kind = spec.kind
         if kind == "global_avg_pool":
             if len(shape) < 2:
                 return None
             shape = shape[:1]
+            walk.append((0, 0, shape))
             continue
         if kind in CONV_DIMS:
             kernel = spec.kernel
@@ -512,8 +568,18 @@ def _sample_widths(steps, sample_shape):
             shape = (w_out,)
         if w_in not in (None, width):
             return None
-        widest, gram = max(widest, built), max(gram, width)
-    return (widest, gram) if widest else None
+        walk.append((width, built, shape))
+    return walk
+
+
+def _sample_widths(walk):
+    """(widest, gram) of a ``_shape_walk``: the floats of the widest
+    intermediate built and the side of the largest Gram matrix; None when
+    the walk is None or no layer has weights."""
+    if walk is None:
+        return None
+    widest = max((built for _, built, _ in walk), default=0)
+    return (widest, max(width for width, _, _ in walk)) if widest else None
 
 
 def _budget_rows(widest):
@@ -539,7 +605,7 @@ def inference_batch_rows(layers, sample_shape):
             steps.append((tl.spec, *tl.w.shape))
         else:
             return None
-    widths = _sample_widths(steps, sample_shape)
+    widths = _sample_widths(_shape_walk(steps, sample_shape))
     return None if widths is None else _budget_rows(widths[0])
 
 

@@ -12,9 +12,10 @@ from fpnet.bench import (METHODS, bottleneck_sweep, derive_layer_seeds,
                          derive_noise_seed, fewshot_sweep, fit_method,
                          mlp_specs, rows_to_csv, run_benchmark)
 from fpnet.core import RidgeConfig, TargetGenSpec
-from fpnet.data import synthetic_gaussian_task
+from fpnet.data import few_shot_subsample, synthetic_gaussian_task
 from fpnet.errors import DivergenceError
-from fpnet.layers import IterativeConfig, LayerSpec, fit_network
+from fpnet.layers import (IterativeConfig, LayerSpec, draw_projections,
+                          fit_network)
 from fpnet.linalg import SeededRng
 
 
@@ -204,6 +205,103 @@ class TestHarness:
     def test_rows_to_csv_rejects_empty(self, tmp_path):
         with pytest.raises(ValueError):
             rows_to_csv([], tmp_path / "x.csv")
+
+
+class TestSharedDraws:
+    """The sweeps draw each seed's (or width's) q and u once and share them
+    between the fits that use them."""
+
+    def _splits(self):
+        rng = SeededRng(46)
+        return (synthetic_gaussian_task(200, 12, 3, 3.5, rng),
+                synthetic_gaussian_task(90, 12, 3, 3.5, rng))
+
+    @staticmethod
+    def _count_draws(monkeypatch):
+        calls = []
+        draw = layers.gaussian_matrix
+        monkeypatch.setattr(layers, "gaussian_matrix",
+                            lambda *a: calls.append(a) or draw(*a))
+        return calls
+
+    @pytest.mark.parametrize("method", ["fp", "noisy_label_projection"])
+    def test_fewshot_rows_equal_separate_runs(self, method):
+        train, test = self._splits()
+        rows = fewshot_sweep(train, test, shots=(5, 10), seeds=(0, 1),
+                             hidden=(16, 8), method=method)
+        expected = []
+        for shots in (5, 10):
+            for seed in (0, 1):
+                subset = few_shot_subsample(train, shots, SeededRng(seed))
+                report, _ = run_benchmark(mlp_specs((16, 8), seed=seed),
+                                          subset, test, seed=seed,
+                                          method=method)
+                expected.append((shots, seed, report.accuracy,
+                                 report.auc_macro, report.aupr_macro))
+        assert [(r["shots"], r["seed"], r["accuracy"], r["auc_macro"],
+                 r["aupr_macro"]) for r in rows] == expected
+
+    def test_fewshot_draws_once_per_seed(self, monkeypatch):
+        train, test = self._splits()
+        calls = self._count_draws(monkeypatch)
+        fewshot_sweep(train, test, shots=(5, 10), seeds=(0, 1),
+                      hidden=(16, 8))
+        # a q and a u per hidden layer and seed; a draw per cell took twice
+        # as many
+        assert len(calls) == 2 * 2 * 2
+
+    def test_bottleneck_rows_equal_separate_runs(self, monkeypatch):
+        train, test = self._splits()
+        calls = self._count_draws(monkeypatch)
+        rows = bottleneck_sweep(train, test, widths=(6, 10), base_widths=(16,),
+                                seed=2)
+        assert len(calls) == 2 * 2 * 2  # per width, not per method and width
+        expected = []
+        for method in METHODS:
+            for width in (6, 10):
+                report, ledger = run_benchmark(mlp_specs((16, width), seed=2),
+                                               train, test, seed=2,
+                                               method=method)
+                expected.append((method, width, report.accuracy,
+                                 report.auc_macro, ledger.total_macs))
+        assert [(r["method"], r["width"], r["accuracy"], r["auc_macro"],
+                 r["total_macs"]) for r in rows] == expected
+
+    def test_shared_projections_are_read_only(self):
+        train, _ = self._splits()
+        specs = mlp_specs((16, 8), seed=0)
+        projections = draw_projections(specs, (12,), 3)
+        assert projections[-1] is None
+        for q, u in projections[:-1]:
+            assert not q.flags.writeable and not u.flags.writeable
+
+        def writes_into_u(rows, y, q, u, target_spec):
+            u[0, 0] = 1.0
+
+        with pytest.raises(ValueError, match="read-only"):
+            fit_network(specs, train, targets=writes_into_u,
+                        projections=projections)
+
+    def test_shared_projections_are_the_seeded_draws(self):
+        train, _ = self._splits()
+        specs = mlp_specs((16, 8), seed=0)
+        own = fit_network(specs, train)
+        shared = fit_network(specs, train,
+                             projections=draw_projections(specs, (12,), 3))
+        for a, b in zip(own.layers, shared.layers):
+            for name in ("w", "q", "u"):
+                ma, mb = getattr(a, name), getattr(b, name)
+                assert (ma is None and mb is None) or np.array_equal(ma, mb)
+
+    def test_projections_must_match_the_layers(self):
+        train, _ = self._splits()
+        specs = mlp_specs((16, 8), seed=0)
+        with pytest.raises(ValueError, match="2 projections for 3 layers"):
+            fit_network(specs, train,
+                        projections=draw_projections(specs, (12,), 3)[:2])
+        with pytest.raises(ValueError, match="do not chain"):
+            draw_projections([LayerSpec("global_avg_pool"),
+                              LayerSpec("output")], (12,), 3)
 
 
 class TestIterativeDivergence:

@@ -111,6 +111,27 @@ class TestTrain:
         assert ((out1 / "model.fpk").read_bytes()
                 == (out2 / "model.fpk").read_bytes())
 
+    def test_replay_from_resolved_config_with_dense_kernel(self, tmp_path):
+        # resolved configs once wrote kernel [1] and stride 1 into every
+        # dense entry; they are no longer written but still replay
+        cfg = _write_config(
+            tmp_path / "cfg.json",
+            architecture=[{"kind": "dense", "out_channels": 16},
+                          {"kind": "dense", "out_channels": 8},
+                          {"kind": "output"}])
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["train", "--config", str(cfg), "--out", str(out1)]) == 0
+        resolved = json.loads((out1 / "resolved_config.json").read_text())
+        for entry in resolved["architecture"][:2]:
+            assert "kernel" not in entry and "stride" not in entry
+            entry.update(kernel=[1], stride=1)
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps(resolved))
+        assert main(["train", "--config", str(older),
+                     "--out", str(out2)]) == 0
+        assert ((out1 / "model.fpk").read_bytes()
+                == (out2 / "model.fpk").read_bytes())
+
     def test_seed_flag_overrides_and_is_materialised(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json", seed=3)
         out = tmp_path / "run"

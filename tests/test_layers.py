@@ -363,6 +363,13 @@ class TestFitNetwork:
         specs = [_dense_spec(8, g="sign", q_seed=1, u_seed=2),
                  _dense_spec(8, g="sign", q_seed=3, u_seed=4),
                  LayerSpec("output")]
+        # within the budget the data is read to fit layer 0 and once more to
+        # compute layer 0's output, which later layers read instead
+        fit_network(specs, train)
+        assert counter["replays"] == 2
+        # over it, each trainable layer replays the data once
+        counter["replays"] = 0
+        monkeypatch.setattr(layers_mod, "INFERENCE_BUDGET_BYTES", 0)
         fit_network(specs, train)
         assert counter["replays"] == 3
 
@@ -385,6 +392,109 @@ class TestFitNetwork:
             fit_network([_dense_spec(4)], train)
         with pytest.raises(ValueError):
             fit_network([LayerSpec("output"), _dense_spec(4)], train)
+
+
+def _replayed(monkeypatch):
+    """Compute no layer's output ahead: every layer's input is then rebuilt
+    from the data for each layer that reads it, on the same batches."""
+    monkeypatch.setattr(layers_mod, "_kept", lambda stream: stream)
+
+
+class TestKeptInputs:
+    """Layer outputs that fit the budget are computed once and kept; the
+    fit must not change for it."""
+
+    CASES = {
+        "dense": lambda: (
+            [_dense_spec(24, activation="relu", g="sign", q_seed=5, u_seed=6),
+             _dense_spec(12, activation="tanh", g="tanh", q_seed=7, u_seed=8),
+             LayerSpec("output")],
+            SeededRng(41).standard_normal((700, 16)),
+            one_hot(np.arange(700) % 4)),
+        # 30 rows under every layer's width: each layer solves the dual
+        "dual": lambda: (
+            [_dense_spec(48, activation="relu", g="sign", q_seed=5, u_seed=6),
+             _dense_spec(40, activation="relu", g="sign", q_seed=7, u_seed=8),
+             LayerSpec("output")],
+            SeededRng(42).standard_normal((30, 64)),
+            one_hot(np.arange(30) % 3)),
+        "conv2d-pool-output": lambda: (
+            [LayerSpec("conv2d", 6, (3, 3), 2, "relu",
+                       TargetGenSpec(g="sign", q_seed=1, u_seed=2)),
+             LayerSpec("global_avg_pool"), LayerSpec("output")],
+            SeededRng(43).standard_normal((90, 2, 9, 9)),
+            one_hot(np.arange(90) % 3)),
+    }
+
+    @staticmethod
+    def _same(a, b):
+        for la, lb in zip(a.layers, b.layers):
+            for name in ("w", "q", "u"):
+                ma, mb = getattr(la, name), getattr(lb, name)
+                assert (ma is None) == (mb is None)
+                assert ma is None or np.array_equal(ma, mb), name
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("mode", ["closed_form",
+                                      IterativeConfig(eta=1e-3, epochs=3,
+                                                      batch=64)],
+                             ids=["closed_form", "iterative"])
+    def test_kept_and_replayed_fits_equal(self, monkeypatch, case, mode):
+        specs, x, y = self.CASES[case]()
+        kept = fit_network(specs, (x, y), mode=mode)
+        _replayed(monkeypatch)
+        self._same(kept, fit_network(specs, (x, y), mode=mode))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_iterative_fit_same_with_zero_budget(self, monkeypatch, case):
+        # iterative batches do not depend on the budget, so at 0 only the
+        # kept outputs go
+        specs, x, y = self.CASES[case]()
+        mode = IterativeConfig(eta=1e-3, epochs=2, batch=32)
+        kept = fit_network(specs, (x, y), mode=mode)
+        monkeypatch.setattr(layers_mod, "INFERENCE_BUDGET_BYTES", 0)
+        self._same(kept, fit_network(specs, (x, y), mode=mode))
+
+    def test_forward_runs_each_hidden_layer_once(self, monkeypatch):
+        n, d = 300, 16
+        x = SeededRng(44).standard_normal((n, d))
+        y = one_hot(np.arange(n) % 4)
+        specs = [_dense_spec(8, g="sign", q_seed=1, u_seed=2),
+                 _dense_spec(6, g="sign", q_seed=3, u_seed=4),
+                 LayerSpec("output")]
+
+        def forward_macs():
+            ledger = accounting.CostLedger()
+            with accounting.track(ledger):
+                fit_network(specs, (x, y))
+            return ledger.macs["forward"]
+
+        assert forward_macs() == n * d * 8 + n * 8 * 6
+        # replayed, layer 0 runs again to fit the output layer
+        monkeypatch.setattr(layers_mod, "INFERENCE_BUDGET_BYTES", 0)
+        assert forward_macs() == 2 * n * d * 8 + n * 8 * 6
+
+    def test_outputs_over_the_budget_are_replayed(self, monkeypatch):
+        # a budget 1 byte under layer 0's whole output, 16 floats a row:
+        # layer 0 is replayed, the narrower layers' outputs are kept, and
+        # batches stay 256 rows, the budget allowing 299
+        n, d = 300, 8
+        x = SeededRng(45).standard_normal((n, d))
+        y = one_hot(np.arange(n) % 4)
+        specs = [_dense_spec(16, g="sign", q_seed=1, u_seed=2),
+                 _dense_spec(6, g="sign", q_seed=3, u_seed=4),
+                 _dense_spec(5, g="sign", q_seed=5, u_seed=6),
+                 LayerSpec("output")]
+        kept = fit_network(specs, (x, y))
+        monkeypatch.setattr(layers_mod, "INFERENCE_BUDGET_BYTES",
+                            8 * n * 16 - 1)
+        ledger = accounting.CostLedger()
+        with accounting.track(ledger):
+            partly = fit_network(specs, (x, y))
+        # layer 0 runs to fit layer 1 and again to keep layer 1's output
+        assert ledger.macs["forward"] == (2 * n * d * 16 + n * 16 * 6
+                                          + n * 6 * 5)
+        self._same(kept, partly)
 
 
 class TestSpecValidation:
