@@ -21,8 +21,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import accounting
 from .accounting import CostLedger, PHASES
 from .bench import (METHODS, bottleneck_sweep, derive_layer_seeds,
@@ -30,8 +28,7 @@ from .bench import (METHODS, bottleneck_sweep, derive_layer_seeds,
 from .checkpoint import load_network, save_network
 from .core import (HIDDEN_LAMBDA, OUTPUT_LAMBDA, RidgeConfig, TargetGenSpec,
                    TARGET_NONLINEARITIES)
-from .data import (PIXEL_SCALE, load_idx, read_idx_images,
-                   synthetic_gaussian_task)
+from .data import Pixels, load_idx, read_idx_images, synthetic_gaussian_task
 from .errors import (CheckpointFormatError, ConfigError, DataConsistencyError,
                      DivergenceError, IdxFormatError,
                      NotPositiveDefiniteError, RankDeficientError,
@@ -350,11 +347,10 @@ def cmd_explain(args):
     net = load_network(args.checkpoint)
     out_dir = args.out if args.out is not None else "fp_run"
     os.makedirs(out_dir, exist_ok=True)
-    imgs = read_idx_images(args.input)
-    if not (0 <= args.sample < imgs.shape[0]):
+    imgs = Pixels(read_idx_images(args.input))
+    if not (0 <= args.sample < len(imgs)):
         raise ConfigError(f"--sample {args.sample} out of range")
-    x = (imgs[args.sample:args.sample + 1].astype(np.float64)[:, None, :, :]
-         * PIXEL_SCALE)
+    x = imgs[args.sample:args.sample + 1]
     k = args.layer
     if not (0 <= k < len(net.layers)):
         raise ConfigError(f"--layer {k} out of range")

@@ -2,9 +2,10 @@
 
 IDX is the classic big-endian binary layout used by the common handwritten
 digit and fashion image benchmarks: a magic number, big-endian int32
-dimensions, then raw unsigned bytes. Images load as (N, 1, rows, cols)
-float64 scaled by 1/255; labels become one-hot rows over max_label + 1
-classes.
+dimensions, then raw unsigned bytes. Images load as ``Pixels``: the
+file's bytes, kept as uint8 and shaped (N, 1, rows, cols), which become
+float64 scaled by 1/255 only for the rows a caller indexes, one batch at a
+time. Labels become one-hot rows over max_label + 1 classes.
 """
 
 import math
@@ -20,16 +21,54 @@ LABEL_MAGIC = 0x00000801
 PIXEL_SCALE = 1.0 / 255.0
 
 
+class Pixels:
+    """Read-only images kept as uint8, read as float64 scaled to [0, 1].
+
+    raw : (N, rows, cols) uint8 pixels; the object is shaped
+        (N, 1, rows, cols), one channel, and holds raw without a copy.
+
+    Indexing returns a fresh float64 array, ``raw[key] * PIXEL_SCALE``, so
+    only the rows indexed are ever converted: batches of a fit or a
+    prediction cost 8 bytes a pixel for that batch alone. ``np.asarray``
+    converts every image.
+    """
+
+    def __init__(self, raw):
+        self._raw = raw[:, None]
+        self.shape, self.ndim = self._raw.shape, self._raw.ndim
+
+    def __len__(self):
+        return len(self._raw)
+
+    def __getitem__(self, key):
+        return np.multiply(self._raw[key], PIXEL_SCALE, dtype=np.float64)
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("Pixels convert to float64 only by copying")
+        x = self[:]
+        return x if dtype is None else x.astype(dtype, copy=False)
+
+
+def as_samples(x):
+    """``x`` as a float64 array, or as it is if it is ``Pixels``, which
+    convert per batch."""
+    return x if isinstance(x, Pixels) else np.asarray(x, dtype=np.float64)
+
+
 @dataclass
 class Dataset:
-    """Samples x, strict one-hot labels y, and one name per class."""
+    """Samples x, strict one-hot labels y, and one name per class.
 
-    x: np.ndarray
+    x is a float64 array, or ``Pixels`` for images loaded from IDX files.
+    """
+
+    x: np.ndarray | Pixels
     y: np.ndarray
     class_names: list
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
+        self.x = as_samples(self.x)
         self.y = np.asarray(self.y, dtype=np.float64)
         if self.x.ndim < 2:
             raise ValueError("x needs a leading sample axis plus features")
@@ -65,7 +104,9 @@ def _read_idx(path, magic, what):
     """Raw uint8 array of an IDX file with magic ``magic``, whose low byte
     counts the dimensions: the sample count (>= 0), then positive extents."""
     with open(path, "rb") as fh:
-        buf = fh.read()
+        # slices of a memoryview share the file's bytes, so the payload
+        # array below is the only copy of them
+        buf = memoryview(fh.read())
     (found,) = struct.unpack(">i", _read_exact(buf, 0, 4, path))
     if found != magic:
         raise IdxFormatError(
@@ -110,9 +151,10 @@ def one_hot(labels, n_classes=None):
 def load_idx(images_path, labels_path):
     """Load an IDX image/label pair as a Dataset.
 
-    Pixels scale to [0, 1] with a single channel axis: x is
-    (N, 1, rows, cols). The class count is max_label + 1 and class names
-    are the digit strings.
+    x is ``Pixels`` over the image file's bytes, with a single channel
+    axis: (N, 1, rows, cols), 1 byte a pixel in memory, scaled to [0, 1]
+    as float64 only for the rows that are indexed. The class count is
+    max_label + 1 and class names are the digit strings.
     """
     imgs = read_idx_images(images_path)
     labels = read_idx_labels(labels_path)
@@ -121,11 +163,8 @@ def load_idx(images_path, labels_path):
             f"{imgs.shape[0]} images but {labels.shape[0]} labels")
     if imgs.shape[0] == 0:
         raise DataConsistencyError("empty dataset")
-    # one float64 array, filled in place: no intermediate copy of the images
-    x = np.empty((imgs.shape[0], 1) + imgs.shape[1:])
-    np.multiply(imgs, PIXEL_SCALE, out=x[:, 0])
     y = one_hot(labels)
-    return Dataset(x, y, [str(i) for i in range(y.shape[1])])
+    return Dataset(Pixels(imgs), y, [str(i) for i in range(y.shape[1])])
 
 
 def write_idx(ds, images_path, labels_path):

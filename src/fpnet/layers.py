@@ -38,6 +38,7 @@ from . import accounting
 from .core import (HIDDEN_LAMBDA, OUTPUT_LAMBDA, GramAccumulator, RidgeConfig,
                    TargetGenSpec, fit_weights, generate_targets,
                    iterative_update)
+from .data import Pixels, as_samples
 from .linalg import SeededRng, activate, as_matrix, gaussian_matrix
 
 LAYER_KINDS = ("dense", "conv1d", "conv2d", "global_avg_pool", "output")
@@ -388,13 +389,14 @@ def fit_layer(spec, stream, q=None, u=None, mode="closed_form", targets=None):
 def _dataset_xy(dataset):
     if hasattr(dataset, "x") and hasattr(dataset, "y"):
         names = list(getattr(dataset, "class_names", []))
-        return np.asarray(dataset.x, dtype=np.float64), as_matrix(dataset.y, "y"), names
+        return as_samples(dataset.x), as_matrix(dataset.y, "y"), names
     x, y = dataset
-    return np.asarray(x, dtype=np.float64), as_matrix(y, "y"), []
+    return as_samples(x), as_matrix(y, "y"), []
 
 
 def make_batches(x, y, batch_size):
-    """Factory over contiguous (x, y) slices in stored order."""
+    """Factory over contiguous (x, y) slices in stored order; ``Pixels``
+    become float64 one slice at a time."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     n = x.shape[0]
@@ -623,9 +625,11 @@ def network_forward(net, x, upto=None):
     by batch, each batch written straight into the output, which keeps the
     first batch's memory layout; so memory beyond the output stays bounded
     by the layers' working set rather than growing with the number of rows.
+    ``Pixels`` input is converted to float64 one batch at a time.
     """
     layers = net.layers if upto is None else net.layers[:upto]
-    x = np.asarray(x)
+    if not isinstance(x, Pixels):  # Pixels convert a batch at a time
+        x = np.asarray(x)
     rows = inference_batch_rows(layers, x.shape[1:]) if x.ndim >= 2 else None
     if rows is None or x.shape[0] <= rows:
         return _forward_all(layers, x)

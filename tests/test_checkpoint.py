@@ -9,7 +9,7 @@ from fpnet.checkpoint import MAGIC, VERSION, load_network, save_network
 from fpnet.bench import fit_method
 from fpnet.core import RidgeConfig, TargetGenSpec
 from fpnet.data import Dataset, one_hot, synthetic_gaussian_task
-from fpnet.errors import CheckpointFormatError
+from fpnet.errors import CheckpointFormatError, FpnetError
 from fpnet.layers import (LayerSpec, fit_network, network_forward, predict)
 from fpnet.linalg import SeededRng
 
@@ -270,6 +270,53 @@ class TestShapeChain:
         path = tmp_path / "model.fpk"
         save_network(net, path)
         assert load_network(path).layers[-1].w.shape == (5, 3)
+
+
+# Written at every offset of a checkpoint by the fault sweep: zero, one, a
+# quote, a comma and a digit (JSON structure and numbers), a high byte and
+# the top byte (lengths, UTF-8 and float payload).
+SWEEP_BYTES = (0x00, 0x01, ord('"'), ord(","), ord("9"), 0x80, 0xff)
+
+
+def _sweep_net():
+    """conv2d -> global_avg_pool -> dense -> output on 1x3x3 images: every
+    layer kind in a checkpoint of about 1 KB."""
+    x = SeededRng(81).standard_normal((12, 1, 3, 3))
+    ds = Dataset(x, one_hot(np.arange(12) % 2), ["a", "b"])
+    specs = [LayerSpec("conv2d", out_channels=2, kernel=(2, 2),
+                       activation="relu", target=TargetGenSpec(q_seed=1, u_seed=2)),
+             LayerSpec("global_avg_pool"),
+             LayerSpec("dense", out_channels=2, activation="relu",
+                       target=TargetGenSpec(q_seed=3, u_seed=4)),
+             LayerSpec("output")]
+    return fit_network(specs, ds)
+
+
+class TestFaultSweep:
+    def test_every_truncation_rejected(self, tmp_path):
+        path = tmp_path / "model.fpk"
+        save_network(_sweep_net(), path)
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(CheckpointFormatError):
+                load_network(path)
+
+    def test_every_byte_edit_loads_or_raises_typed(self, tmp_path):
+        # no edit may end in a traceback: a file either loads or raises one
+        # of the package's own errors
+        path = tmp_path / "model.fpk"
+        save_network(_sweep_net(), path)
+        blob = path.read_bytes()
+        for offset in range(len(blob)):
+            for value in SWEEP_BYTES:
+                edited = bytearray(blob)
+                edited[offset] = value
+                path.write_bytes(bytes(edited))
+                try:
+                    load_network(path)
+                except FpnetError:
+                    pass
 
 
 class TestFormatGuards:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fpnet.core import RidgeConfig
+from fpnet.core import RidgeConfig, TargetGenSpec
 from fpnet.data import (PIXEL_SCALE, Dataset, few_shot_subsample, load_idx,
                         one_hot, read_idx_images, read_idx_labels,
                         synthetic_gaussian_task, write_idx)
@@ -26,6 +26,19 @@ def _label_file(path, labels):
     labels = np.asarray(labels, dtype=np.uint8)
     path.write_bytes(struct.pack(">ii", 0x00000801, labels.shape[0])
                      + labels.tobytes())
+
+
+def _random_pixels(n, seed):
+    return np.random.default_rng(seed).integers(0, 256, size=(n, 28, 28),
+                                                dtype=np.uint8)
+
+
+def _idx_pair(tmp_path, pixels, classes=10):
+    """Image and label files of ``pixels``, labelled 0, 1, ... in turn."""
+    img, lab = tmp_path / "img", tmp_path / "lab"
+    _image_file(img, pixels)
+    _label_file(lab, np.arange(len(pixels)) % classes)
+    return img, lab
 
 
 class TestLoadIdx:
@@ -83,7 +96,8 @@ class TestLoadIdx:
         assert img2.read_bytes() == img.read_bytes()
         assert lab2.read_bytes() == lab.read_bytes()
         back = load_idx(img2, lab2)
-        assert back.x.tobytes() == ds.x.tobytes()
+        assert np.asarray(back.x).tobytes() == np.asarray(ds.x).tobytes()
+        assert back.x[1:4].tobytes() == ds.x[1:4].tobytes()
         assert back.y.tobytes() == ds.y.tobytes()
 
     def test_pixels_bit_identical_to_scaled_bytes(self, tmp_path):
@@ -92,9 +106,10 @@ class TestLoadIdx:
         _image_file(img, pixels)
         _label_file(lab, np.array([0, 1, 2, 3]))
         x = load_idx(img, lab).x
-        assert x.flags.c_contiguous and x.dtype == np.float64
         ref = pixels.astype(np.float64)[:, None] * PIXEL_SCALE
-        assert x.tobytes() == ref.tobytes()
+        for got, want in ((np.asarray(x), ref), (x[1:3], ref[1:3])):
+            assert got.flags.c_contiguous and got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
 
     def test_peak_memory_below_ten_times_file(self, tmp_path):
         # the float64 images are 8x the pixel bytes; no second copy is held
@@ -112,10 +127,81 @@ class TestLoadIdx:
             tracemalloc.stop()
         assert peak < 10 * img.stat().st_size
 
+    def test_peak_memory_below_twice_file(self, tmp_path):
+        # the pixels stay the file's bytes, read once and never copied
+        img, lab = _idx_pair(tmp_path, _random_pixels(2000, 3))
+        tracemalloc.start()
+        try:
+            load_idx(img, lab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * img.stat().st_size
+
     def test_labels_reader_plain_vector(self, tmp_path):
         lab = tmp_path / "lab"
         _label_file(lab, np.array([3, 0, 2]))
         assert list(read_idx_labels(lab)) == [3, 0, 2]
+
+
+def _small_conv_specs():
+    return [LayerSpec("conv2d", 4, (5, 5), 1, "relu",
+                      TargetGenSpec(q_seed=1, u_seed=2)),
+            LayerSpec("global_avg_pool"), LayerSpec("output")]
+
+
+class TestPixels:
+    """IDX images kept as uint8 read exactly as the float64 images would."""
+
+    def test_indexing_bit_identical_to_scaled_pixels(self, tmp_path):
+        pixels = _random_pixels(30, 4)
+        ds = load_idx(*_idx_pair(tmp_path, pixels, classes=3))
+        ref = pixels.astype(np.float64)[:, None] * PIXEL_SCALE
+        assert ds.x.shape == ref.shape and ds.x.ndim == 4 and len(ds.x) == 30
+        picks = np.array([29, 3, 3, 0, 17])
+        for key in (slice(None), slice(5, 12), slice(1, None, 4), 7, picks,
+                    (2, 0)):
+            got = ds.x[key]
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert got.tobytes() == ref[key].tobytes()
+        sub = few_shot_subsample(ds, 4, SeededRng(5))
+        want = few_shot_subsample(Dataset(ref, ds.y, ds.class_names), 4,
+                                  SeededRng(5))
+        assert sub.x.dtype == np.float64 and sub.x.tobytes() == want.x.tobytes()
+
+    @pytest.mark.parametrize("specs", [
+        _small_conv_specs(),
+        [LayerSpec("dense", 16, activation="relu",
+                   target=TargetGenSpec(q_seed=3, u_seed=4)),
+         LayerSpec("output")]], ids=["conv", "dense"])
+    def test_fit_and_predict_match_float64_images(self, tmp_path, specs):
+        pixels = _random_pixels(200, 6)
+        idx = load_idx(*_idx_pair(tmp_path, pixels))
+        plain = Dataset(pixels.astype(np.float64)[:, None] * PIXEL_SCALE,
+                        idx.y, idx.class_names)
+        a = fit_network(specs, idx, batch_size=64)
+        b = fit_network(specs, plain, batch_size=64)
+        for la, lb in zip(a.layers, b.layers):
+            for f in ("w", "q", "u"):
+                ma, mb = getattr(la, f), getattr(lb, f)
+                assert (ma is None and mb is None) or np.array_equal(ma, mb)
+        assert np.array_equal(predict(a, idx.x)[0], predict(b, plain.x)[0])
+
+    def test_load_fit_predict_memory_grows_by_bytes_only(self, tmp_path):
+        # a float64 copy of the images would add 8 bytes a pixel, 6272 a
+        # sample; labels, one-hot rows, kept pooled activations and scores
+        # add under 256 bytes a sample besides the 784 pixel bytes
+        peaks = []
+        for n in (2000, 8000):
+            img, lab = _idx_pair(tmp_path, _random_pixels(n, 7))
+            tracemalloc.start()
+            try:
+                ds = load_idx(img, lab)
+                predict(fit_network(_small_conv_specs(), ds), ds.x)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 6000 * (784 + 256)
 
 
 # Each reader and the header of its well-formed file: 2 images of 3 x 2
@@ -291,4 +377,5 @@ class TestImageCorpus:
         assert train.x.shape == (60000, 1, 28, 28)
         assert train.label_dim == 10
         assert test.x.shape == (10000, 1, 28, 28)
-        assert float(train.x.min()) >= 0.0 and float(train.x.max()) <= 1.0
+        x = np.asarray(train.x)
+        assert float(x.min()) >= 0.0 and float(x.max()) <= 1.0
