@@ -247,12 +247,20 @@ def resolve_config(cfg, args, reads=TOP_KEYS):
     return out, list(specs), mode
 
 
-def build_datasets(data_cfg):
+def build_datasets(data_cfg, n_classes=None):
+    """(train, test) of ``data_cfg``, test None without a test split.
+
+    IDX labels are one-hot over ``n_classes`` classes, by default the
+    training split's max_label + 1 for both splits; a label outside them
+    raises DataConsistencyError.
+    """
     if data_cfg["kind"] == "idx":
-        train = load_idx(data_cfg["train_images"], data_cfg["train_labels"])
+        train = load_idx(data_cfg["train_images"], data_cfg["train_labels"],
+                         n_classes)
         test = None
         if "test_images" in data_cfg:
-            test = load_idx(data_cfg["test_images"], data_cfg["test_labels"])
+            test = load_idx(data_cfg["test_images"], data_cfg["test_labels"],
+                            train.label_dim)
         return train, test
     task = (data_cfg["dim"], data_cfg["classes"], data_cfg["separation"],
             SeededRng(data_cfg["data_seed"]))
@@ -296,11 +304,12 @@ def _require_config(args, reads=TOP_KEYS):
     return resolve_config(_load_config(args.config), args, reads)
 
 
-def _open_run(resolved, needs_test=None):
+def _open_run(resolved, needs_test=None, n_classes=None):
     """(train, test, out_dir): the configured splits, then the output
     directory made, so a failure to load data writes nothing.
-    ``needs_test`` names a subcommand that needs a test split."""
-    train, test = build_datasets(resolved["data"])
+    ``needs_test`` names a subcommand that needs a test split;
+    ``n_classes`` is as in ``build_datasets``."""
+    train, test = build_datasets(resolved["data"], n_classes)
     if needs_test and test is None:
         raise ConfigError(f"{needs_test} needs a test split")
     os.makedirs(resolved["out"], exist_ok=True)
@@ -333,7 +342,7 @@ def cmd_train(args):
 def cmd_eval(args):
     resolved, _, _ = _require_config(args, EVAL_READS)
     net = load_network(args.checkpoint)
-    train, test, out_dir = _open_run(resolved)
+    train, test, out_dir = _open_run(resolved, n_classes=net.label_dim)
     ds = test if test is not None else train
     scores, _ = predict(net, ds.x)
     rep = metric_report(scores, ds.y, seed=resolved["seed"])

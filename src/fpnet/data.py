@@ -148,13 +148,14 @@ def one_hot(labels, n_classes=None):
     return y
 
 
-def load_idx(images_path, labels_path):
+def load_idx(images_path, labels_path, n_classes=None):
     """Load an IDX image/label pair as a Dataset.
 
     x is ``Pixels`` over the image file's bytes, with a single channel
     axis: (N, 1, rows, cols), 1 byte a pixel in memory, scaled to [0, 1]
     as float64 only for the rows that are indexed. The class count is
-    max_label + 1 and class names are the digit strings.
+    ``n_classes``, max_label + 1 by default, and class names are the digit
+    strings. A label outside [0, n_classes) raises DataConsistencyError.
     """
     imgs = read_idx_images(images_path)
     labels = read_idx_labels(labels_path)
@@ -163,31 +164,39 @@ def load_idx(images_path, labels_path):
             f"{imgs.shape[0]} images but {labels.shape[0]} labels")
     if imgs.shape[0] == 0:
         raise DataConsistencyError("empty dataset")
-    y = one_hot(labels)
+    if n_classes is not None and labels.max() >= n_classes:
+        raise DataConsistencyError(
+            f"{labels_path}: label {labels.max()} is outside the "
+            f"{n_classes} classes 0..{n_classes - 1}")
+    y = one_hot(labels, n_classes)
     return Dataset(Pixels(imgs), y, [str(i) for i in range(y.shape[1])])
 
 
 def write_idx(ds, images_path, labels_path):
     """Write a Dataset back to canonical IDX image and label files.
 
-    Pixels are recovered as round(x * 255); loading a written pair
-    reproduces the original files byte for byte.
+    ``Pixels`` are written as the bytes they hold; float pixels are
+    recovered as round(x * 255). Loading a written pair reproduces the
+    original files byte for byte.
     """
     x = ds.x
-    if x.ndim == 4 and x.shape[1] == 1:
-        x = x[:, 0]
-    if x.ndim != 3:
-        raise ValueError("write_idx needs single-channel image data")
-    pixels = np.rint(x / PIXEL_SCALE)
-    if pixels.min() < 0 or pixels.max() > 255:
-        raise ValueError("pixel values leave the byte range")
+    if isinstance(x, Pixels):
+        pixels = x._raw[:, 0]
+    else:
+        if x.ndim == 4 and x.shape[1] == 1:
+            x = x[:, 0]
+        if x.ndim != 3:
+            raise ValueError("write_idx needs single-channel image data")
+        pixels = np.rint(x / PIXEL_SCALE)
+        if pixels.min() < 0 or pixels.max() > 255:
+            raise ValueError("pixel values leave the byte range")
+        pixels = pixels.astype(np.uint8)
     with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">iiii", IMAGE_MAGIC, x.shape[0], x.shape[1],
-                             x.shape[2]))
-        fh.write(pixels.astype(np.uint8).tobytes())
+        fh.write(struct.pack(">iiii", IMAGE_MAGIC, *pixels.shape))
+        fh.write(np.ascontiguousarray(pixels))
     with open(labels_path, "wb") as fh:
         fh.write(struct.pack(">ii", LABEL_MAGIC, ds.n))
-        fh.write(ds.labels.astype(np.uint8).tobytes())
+        fh.write(ds.labels.astype(np.uint8))
 
 
 def few_shot_subsample(ds, n_per_class, rng):

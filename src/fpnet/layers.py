@@ -49,13 +49,15 @@ KIND_FIELDS = {"dense": ("out_channels", "activation", "target", "ridge"),
                "global_avg_pool": (), "output": ("ridge",)}
 
 # Working set of every inference and closed-form fit batch: rows per batch
-# are at most this divided by the bytes per sample of the widest
-# intermediate (``_budget_rows``). Fits grow small batches up to the bytes of
-# their largest Gram matrix, never past this bound. On the 28x28 conv
-# benchmark net a batch is 60 images, for predict (no slower than one full
-# batch) and for fitting alike; dense splits of 2000 rows of width 1000 stay
-# a single batch; and a 784 -> 1000 x 3 fit streams 1001 rows a batch, whose
-# Gram and target products run faster than 256-row ones.
+# are at most this divided by the bytes one sample holds at once in the
+# layer step that holds the most, its input, what the step builds from it
+# and its output (``_shape_walk``, ``_budget_rows``). Fits grow small batches
+# until their design rows take the bytes of their largest Gram matrix, never
+# past this bound. On the 28x28 conv benchmark net a batch is 34 images, for
+# predict (no slower than one full batch) and for fitting alike; a 784 ->
+# 1000 x 3 fit streams 1001 rows a batch, whose Gram and target products run
+# faster than 256-row ones; and with 10 classes its predict on 2000 rows
+# runs as two batches of at most 1042.
 INFERENCE_BUDGET_BYTES = 16 * 2**20
 
 
@@ -189,15 +191,6 @@ def extract_windows(x, kernel, stride=1, *, channels_last=False):
                      x.shape[1] * math.prod(kernel))
 
 
-def _flatten(x):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim < 2:
-        raise ValueError("input needs a leading sample axis")
-    if x.shape[0] == 0:
-        raise ValueError("input has no samples")
-    return x.reshape(x.shape[0], -1)
-
-
 def _rows(spec, x, w_rows=None):
     """Design rows of a weighted layer for the batch ``x``, and their grid.
 
@@ -206,14 +199,22 @@ def _rows(spec, x, w_rows=None):
     ``w_rows == width`` rows. Conv layers: the channels-last windows, one
     row per (sample, position), on the output grid.
     """
+    x = np.asarray(x, dtype=np.float64)
     if spec.kind in CONV_DIMS:
-        x = np.asarray(x, dtype=np.float64)
         rows = extract_windows(x, spec.kernel, spec.stride, channels_last=True)
         return rows, conv_output_shape(x.shape[2:], spec.kernel, spec.stride)
-    a = _flatten(x)
-    if spec.kind == "output" and w_rows != a.shape[1]:
-        a = np.hstack([a, np.ones((a.shape[0], 1))])
-    return a, ()
+    if x.ndim < 2:
+        raise ValueError("input needs a leading sample axis")
+    if x.shape[0] == 0:
+        raise ValueError("input has no samples")
+    n, width = x.shape[0], math.prod(x.shape[1:])
+    if spec.kind != "output" or w_rows == width:
+        return x.reshape(n, width), ()
+    # x is written straight into the rows beside their intercept column, so
+    # a conv output, which does not flatten in place, is copied only once
+    rows = np.ones((n, width + 1))
+    rows[:, :width].reshape(x.shape)[...] = x
+    return rows, ()
 
 
 def _window_rows_order(spec, m, channels_last):
@@ -427,13 +428,15 @@ def fit_network(specs, dataset, mode="closed_form", batch_size=256,
     mode : "closed_form" or an IterativeConfig, whose batch size then
         replaces ``batch_size``.
     batch_size : rows a closed-form fit streams per batch, within two
-        bounds. Batches of narrow rows grow until their widest intermediate
-        (as ``inference_batch_rows`` sizes it) holds as many floats as the
-        largest Gram matrix the fit accumulates; and no batch's widest
-        intermediate exceeds INFERENCE_BUDGET_BYTES, which caps
-        ``batch_size`` too (60 images on the 28x28 conv benchmark net, 1001
-        rows on a 784 -> 1000 x 3 MLP). The Gram sums, and so the weights up
-        to rounding, do not depend on where batches end.
+        bounds. Batches of narrow rows grow until their widest design rows
+        or output hold as many floats as the largest Gram matrix the fit
+        accumulates; and no batch holds more than INFERENCE_BUDGET_BYTES in
+        any layer step, its input, what the step builds and its output
+        together (as ``inference_batch_rows`` sizes it), which caps
+        ``batch_size`` too (34 images on the 28x28 conv benchmark net; a
+        784 -> 1000 x 3 MLP grows to 1001 rows, under its cap of 1042). The
+        Gram sums, and so the weights up to rounding, do not depend on where
+        batches end.
     targets : the hidden layers' target source, as in ``fit_layer``;
         Forward Projection's ``generate_targets`` by default.
     projections : one (q, u) pair per spec (None for pooling and output
@@ -456,11 +459,11 @@ def fit_network(specs, dataset, mode="closed_form", batch_size=256,
     if iterative:
         batch_size = mode.batch
     elif widths is not None:
-        widest, gram = widths
-        # grown no larger than the Gram sums, which do not grow with n,
-        # and never past the working-set budget
+        live, widest, gram = widths
+        # design rows grown no larger than the Gram sums, which do not grow
+        # with n, and never a live set past the working-set budget
         batch_size = min(max(batch_size, gram * gram // widest),
-                         _budget_rows(widest))
+                         _budget_rows(live))
     source, prefix = make_batches(x, y, batch_size), []
     if not class_names:
         class_names = [str(i) for i in range(y.shape[1])]
@@ -537,67 +540,75 @@ def _shape_walk(steps, sample_shape):
 
     Returns one (width, built, shape) per step: the width of the layer's
     design rows, also the side of the Gram matrix its fit accumulates (0 for
-    pooling); the floats of the widest intermediate it builds, a conv
-    layer's window matrix or output or the activations of a dense or output
-    layer; and the shape of its output. None when the shapes do not chain.
+    pooling); the floats the sample holds at once while the step runs, that
+    is its input, what the step builds from it and its output; and the
+    shape of its output. A conv layer builds its window matrix; a dense or
+    output layer builds a copy of its rows when it adds an intercept column
+    or flattens a conv layer's output, which lies channels-last in memory.
+    None when the shapes do not chain.
     """
-    shape, walk = tuple(sample_shape), []
+    shape, walk, from_conv = tuple(sample_shape), [], False
     for spec, w_in, w_out in steps:
-        kind = spec.kind
+        kind, n_in = spec.kind, math.prod(shape)
         if kind == "global_avg_pool":
             if len(shape) < 2:
                 return None
-            shape = shape[:1]
-            walk.append((0, 0, shape))
-            continue
-        if kind in CONV_DIMS:
+            width, built, shape = 0, 0, shape[:1]
+        elif kind in CONV_DIMS:
             kernel = spec.kernel
             if (len(shape) != len(kernel) + 1
                     or any(k > s for k, s in zip(kernel, shape[1:]))):
                 return None
             width = shape[0] * math.prod(kernel)
             spatial = conv_output_shape(shape[1:], kernel, spec.stride)
-            positions = math.prod(spatial)
-            built = positions * max(width, w_out)
+            built = math.prod(spatial) * width
             shape = (w_out, *spatial)
         else:
             # the output layer appends its intercept column itself, unless
             # its input already carries one
-            width = math.prod(shape)
+            width = n_in
             if kind == "output" and w_in != width:
                 width += 1
-            built = max(width, w_out)
+            built = width if width != n_in or from_conv else 0
             shape = (w_out,)
         if w_in not in (None, width):
             return None
-        walk.append((width, built, shape))
+        walk.append((width, n_in + built + math.prod(shape), shape))
+        from_conv = kind in CONV_DIMS
     return walk
 
 
 def _sample_widths(walk):
-    """(widest, gram) of a ``_shape_walk``: the floats of the widest
-    intermediate built and the side of the largest Gram matrix; None when
-    the walk is None or no layer has weights."""
-    if walk is None:
+    """(live, widest, gram) of a ``_shape_walk``: the most floats one sample
+    holds in any step, the floats of the widest design rows or output of a
+    weighted layer, and the side of the largest Gram matrix; None when the
+    walk is None or no layer has weights."""
+    weighted = [(width, shape) for width, _, shape in walk or () if width]
+    if not weighted:
         return None
-    widest = max((built for _, built, _ in walk), default=0)
-    return (widest, max(width for width, _, _ in walk)) if widest else None
+    return (max(built for _, built, _ in walk),
+            max(max(width, shape[0]) * math.prod(shape[1:])
+                for width, shape in weighted),
+            max(width for width, _ in weighted))
 
 
-def _budget_rows(widest):
-    """Rows whose ``widest`` floats per row fit INFERENCE_BUDGET_BYTES, at
+def _budget_rows(live):
+    """Rows whose ``live`` floats per row fit INFERENCE_BUDGET_BYTES, at
     least 1."""
-    return max(1, INFERENCE_BUDGET_BYTES // (8 * widest))
+    return max(1, INFERENCE_BUDGET_BYTES // (8 * live))
 
 
 def inference_batch_rows(layers, sample_shape):
     """Rows per batch that keep inference through ``layers`` within
     INFERENCE_BUDGET_BYTES, at least 1.
 
-    A sample's footprint is that of the widest intermediate the layers build
-    from one sample shaped ``sample_shape``: the window matrix or output of a
-    conv layer, the activations of a dense or output layer. None when a
-    layer cannot be sized (no weights, or shapes that do not chain).
+    A sample's footprint is what one sample shaped ``sample_shape`` holds at
+    once in the layer step that holds the most: the step's input, what it
+    builds (a conv layer's window matrix, a copy of a dense or output
+    layer's rows) and its output, as ``_shape_walk`` counts them. That is 34
+    images on the 28x28 conv benchmark net and 1042 rows on a 784 -> 1000 x
+    3 MLP of 10 classes. None when a layer cannot be sized (no weights, or shapes that do
+    not chain).
     """
     steps = []
     for tl in layers:
@@ -623,8 +634,10 @@ def network_forward(net, x, upto=None):
 
     Inputs larger than one batch of ``inference_batch_rows`` rows run batch
     by batch, each batch written straight into the output, which keeps the
-    first batch's memory layout; so memory beyond the output stays bounded
-    by the layers' working set rather than growing with the number of rows.
+    first batch's memory layout; so memory beyond the output stays within
+    INFERENCE_BUDGET_BYTES, which bounds each step's input, what it builds
+    and its output together, rather than growing with the number of rows:
+    2000 rows through a 784 -> 1000 x 3 MLP run as two batches.
     ``Pixels`` input is converted to float64 one batch at a time.
     """
     layers = net.layers if upto is None else net.layers[:upto]

@@ -384,6 +384,61 @@ class TestEval:
         assert "data error" in capsys.readouterr().err
 
 
+class TestIdxTestClasses:
+    """An IDX test split's labels are one-hot over the training split's
+    classes, or the checkpoint's for eval."""
+
+    def _config(self, tmp_path, train_classes, test_classes):
+        train = _write_idx_pair(tmp_path, classes=train_classes)
+        test = _write_idx_pair(tmp_path, n=30, classes=test_classes, seed=9,
+                               stem="test")
+        return _write_config(
+            tmp_path / "cfg.json",
+            data={"kind": "idx", "train_images": str(train[0]),
+                  "train_labels": str(train[1]), "test_images": str(test[0]),
+                  "test_labels": str(test[1])},
+            architecture=[{"kind": "dense", "out_channels": 8},
+                          {"kind": "output"}])
+
+    def test_split_without_the_highest_class(self, tmp_path):
+        # labels 0-2 in training, 0-1 in the test split
+        cfg = self._config(tmp_path, 3, 2)
+        run, bench = tmp_path / "run", tmp_path / "bench"
+        assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+        assert main(["bench", "--config", str(cfg), "--out", str(bench)]) == 0
+        assert main(["eval", "--config", str(cfg), "--checkpoint",
+                     str(run / "model.fpk"),
+                     "--out", str(tmp_path / "eval")]) == 0
+        for path in (run, bench, tmp_path / "eval"):
+            rows = (path / "metrics.csv").read_text().splitlines()
+            assert rows[-1].startswith("test,30,")
+
+    def test_label_outside_the_classes_is_data_error(self, tmp_path, capsys):
+        # labels 0-1 in training, 0-2 in the test split
+        cfg = self._config(tmp_path, 2, 3)
+        for command in ("train", "bench"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg),
+                         "--out", str(out)]) == 3
+            assert "label 2" in capsys.readouterr().err
+            assert not out.exists()
+        # a checkpoint of two classes does not score the test split either
+        train_only = _write_config(
+            tmp_path / "train.json",
+            data={k: v for k, v in json.loads(cfg.read_text())["data"].items()
+                  if not k.startswith("test")},
+            architecture=[{"kind": "dense", "out_channels": 8},
+                          {"kind": "output"}])
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(train_only),
+                     "--out", str(run)]) == 0
+        out = tmp_path / "eval"
+        assert main(["eval", "--config", str(cfg), "--checkpoint",
+                     str(run / "model.fpk"), "--out", str(out)]) == 3
+        assert "label 2" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestExplain:
     def _train_conv(self, tmp_path):
         img, lab = _write_idx_pair(tmp_path)

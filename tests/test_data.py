@@ -100,6 +100,21 @@ class TestLoadIdx:
         assert back.x[1:4].tobytes() == ds.x[1:4].tobytes()
         assert back.y.tobytes() == ds.y.tobytes()
 
+    def test_write_back_loaded_pixels_as_bytes(self, tmp_path):
+        # Pixels are written as the bytes they hold, with no float64 copy
+        img, lab = _idx_pair(tmp_path, _random_pixels(2000, 4))
+        ds = load_idx(img, lab)
+        img2, lab2 = tmp_path / "img2", tmp_path / "lab2"
+        tracemalloc.start()
+        try:
+            write_idx(ds, img2, lab2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert img2.read_bytes() == img.read_bytes()
+        assert lab2.read_bytes() == lab.read_bytes()
+        assert peak < 2 * img.stat().st_size
+
     def test_pixels_bit_identical_to_scaled_bytes(self, tmp_path):
         pixels = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
         img, lab = tmp_path / "img", tmp_path / "lab"

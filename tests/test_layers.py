@@ -244,6 +244,16 @@ class TestOutputLayerFit:
         ref = np.linalg.solve(a1.T @ a1 + lam * penalty, a1.T @ y)
         assert np.linalg.norm(layer.w - ref) / np.linalg.norm(ref) <= 1e-9
 
+    def test_scores_of_conv_output_equal_flattened_rows(self):
+        # a conv output lies channels-last in memory, so it does not flatten
+        # in place; its rows with the intercept column are still the
+        # flattened samples beside a column of ones
+        x = _images((6, 3, 4, 5), 32, channels_last_memory=True)
+        w = SeededRng(33).standard_normal((61, 4))
+        scores = potentials(TrainedLayer(LayerSpec("output"), w=w), x)
+        a1 = np.hstack([x.reshape(6, 60), np.ones((6, 1))])
+        assert np.array_equal(scores, a1 @ w)
+
     def test_iterative_output_steps_leave_intercept_unpenalised(self):
         x, y = self._task(n=40, d=4, k=2)
         lam, eta = 3.0, 0.05
@@ -477,8 +487,9 @@ class TestKeptInputs:
     def test_outputs_over_the_budget_are_replayed(self, monkeypatch):
         # a budget 1 byte under layer 0's whole output, 16 floats a row:
         # layer 0 is replayed, the narrower layers' outputs are kept, and
-        # batches stay 256 rows, the budget allowing 299
-        n, d = 300, 8
+        # batches stay 256 rows, the budget allowing 266 of layer 0's 8 + 16
+        # floats
+        n, d = 400, 8
         x = SeededRng(45).standard_normal((n, d))
         y = one_hot(np.arange(n) % 4)
         specs = [_dense_spec(16, g="sign", q_seed=1, u_seed=2),
@@ -527,8 +538,8 @@ def _random_net(specs, shapes, seed=0):
 
 def _conv_specs():
     """The benchmark's conv stack: conv2d(32, 5x5) -> conv2d(64, 3x3, stride
-    2) -> pool -> output on 1x28x28 images; the widest intermediate is layer
-    1's window matrix."""
+    2) -> pool -> output on 1x28x28 images; layer 1 holds the most a sample:
+    its input, window matrix and output."""
     return [LayerSpec("conv2d", 32, (5, 5), 1, "relu",
                       TargetGenSpec(q_seed=1, u_seed=2)),
             LayerSpec("conv2d", 64, (3, 3), 2, "relu",
@@ -567,12 +578,15 @@ def _count_forwards(monkeypatch):
 class TestBatchedInference:
     def test_rows_sized_by_widest_intermediate(self):
         conv = _conv_net().layers
-        # layer 1: 11x11 positions x (32 channels x 3x3 kernel) floats
+        # layer 1 holds the most: its 32x24x24 input, its 11x11 positions x
+        # (32 channels x 3x3 kernel) window matrix and its 11x11x64 output
         assert inference_batch_rows(conv, (1, 28, 28)) == (
-            INFERENCE_BUDGET_BYTES // (8 * 11 * 11 * 32 * 9))
-        # dense: the widest is the output layer's input plus its intercept
+            INFERENCE_BUDGET_BYTES // (8 * (32 * 24 * 24
+                                            + 11 * 11 * (32 * 9 + 64))))
+        # dense: the output layer's 40 inputs, its rows with the intercept
+        # and its 5 scores
         assert inference_batch_rows(_dense_net().layers, (30,)) == (
-            INFERENCE_BUDGET_BYTES // (8 * 41))
+            INFERENCE_BUDGET_BYTES // (8 * (40 + 41 + 5)))
 
     def test_unsizable_layers_give_none(self):
         conv = _conv_net().layers
@@ -693,21 +707,24 @@ class TestFitBatches:
                 rng.standard_normal((n, d)), one_hot(np.arange(n) % labels))
 
     def test_dense_batches_grow_to_the_gram_or_budget(self, monkeypatch):
-        # widest intermediate: the output layer's 64 inputs plus intercept,
+        # widest design rows: the output layer's 64 inputs plus intercept,
         # which is also the side of the largest Gram matrix
         specs, x, y = self._dense()
         assert _fit_batch_size(monkeypatch, specs, x, y, batch_size=16) == 65
         assert _fit_batch_size(monkeypatch, specs, x, y, batch_size=100) == 100
+        # the output layer holds 64 + 65 + 4 floats a row, so a budget of
+        # 20 rows of 65 floats takes 9 of its rows
         monkeypatch.setattr(layers_mod, "INFERENCE_BUDGET_BYTES", 8 * 65 * 20)
-        assert _fit_batch_size(monkeypatch, specs, x, y, batch_size=16) == 20
+        assert _fit_batch_size(monkeypatch, specs, x, y, batch_size=16) == 9
 
     def test_conv_batches_capped_at_budget(self, monkeypatch):
         specs = _conv_specs()
         x, y = np.zeros((4, 1, 28, 28)), one_hot(np.arange(4) % 2)
-        # layer 1's window matrix, 11x11 positions x 32 channels x 3x3, is
-        # the widest intermediate: 60 images fill the budget
-        assert INFERENCE_BUDGET_BYTES // (8 * 11 * 11 * 32 * 9) == 60
-        assert _fit_batch_size(monkeypatch, specs, x, y, batch_size=256) == 60
+        # layer 1 holds the most a sample: its 32x24x24 input, its window
+        # matrix of 11x11 positions x 32 channels x 3x3 and its 64x11x11
+        # output, 61024 floats; 34 images fill the budget
+        assert INFERENCE_BUDGET_BYTES // (8 * 61024) == 34
+        assert _fit_batch_size(monkeypatch, specs, x, y, batch_size=256) == 34
         assert _fit_batch_size(monkeypatch, specs, x, y, batch_size=8) == 8
 
     def test_iterative_keeps_mode_batch(self, monkeypatch):
@@ -743,7 +760,7 @@ class TestFitBatches:
 
         monkeypatch.setattr(layers_mod, "make_batches", recorded)
         net = fit_network(specs, (x, y), batch_size=256)
-        assert sizes == [60]
+        assert sizes == [34]
         refs, a = [], x
         for spec in specs:
             if spec.kind == "global_avg_pool":
@@ -768,7 +785,7 @@ class TestFitBatches:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * INFERENCE_BUDGET_BYTES
+        assert peak < 1.25 * INFERENCE_BUDGET_BYTES
 
     def test_conv_fit_holds_one_batch_at_a_time(self):
         # a 64-image batch of 24x24 windows: 25 inputs and 24 targets a row
@@ -821,6 +838,65 @@ class TestFitBatches:
         # holds the rows, label rows and two target-sized products, and the
         # input too unless the stream and fit_layer have let it go
         assert peaks[0] < batch + rows + label_rows + targets
+
+
+def _dense_784_specs():
+    """784 -> dense 1000 -> output: 1001 design rows a batch, as on the
+    benchmark MLP."""
+    return [_dense_spec(1000, activation="relu", g="sign", q_seed=1,
+                        u_seed=2), LayerSpec("output")]
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLiveSetWithinBudget:
+    """A batch's input, what a step builds and its output fit
+    INFERENCE_BUDGET_BYTES together, in a fit and in predict alike."""
+
+    CASES = {
+        # 300 images at batch_size 256: 34 a batch
+        "conv": lambda: (_conv_specs(),
+                         SeededRng(26).standard_normal((300, 1, 28, 28)),
+                         one_hot(np.arange(300) % 10), 600),
+        # 3000 rows asked for in batches of 2000, which the output layer's
+        # 1000 inputs, 1001 rows and 10 scores cap at 1042
+        "dense": lambda: (_dense_784_specs(),
+                          SeededRng(27).standard_normal((3000, 784)),
+                          one_hot(np.arange(3000) % 10), 2000),
+    }
+
+    @staticmethod
+    def _fixed_state(net):
+        """Bytes a fit holds besides its batches: every layer's weights and
+        projections, and the largest layer's Gram sums."""
+        held = sum(m.nbytes for tl in net.layers for m in (tl.w, tl.q, tl.u)
+                   if m is not None)
+        gram = max(8 * tl.w.shape[0] * sum(tl.w.shape)
+                   for tl in net.layers if tl.w is not None)
+        return held + gram
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fit(self, case):
+        specs, x, y, _ = self.CASES[case]()
+        net, peak = _traced_peak(
+            lambda: fit_network(specs, (x, y), batch_size=2000))
+        assert peak < 1.15 * INFERENCE_BUDGET_BYTES + self._fixed_state(net)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_predict(self, case):
+        specs, x, y, n = self.CASES[case]()
+        net = fit_network(specs, (x[:100], y[:100]))
+        x = SeededRng(28).standard_normal((n, *x.shape[1:]))
+        (scores, labels), peak = _traced_peak(lambda: predict(net, x))
+        assert peak < (1.15 * INFERENCE_BUDGET_BYTES + scores.nbytes
+                       + labels.nbytes)
 
 
 def _channel_major_to_last(rows, channels):
