@@ -9,7 +9,8 @@ fitting mode the run uses, and any config error is raised before anything
 is written. Every seed is materialised into resolved_config.json, so
 rerunning that file reproduces the checkpoint byte for byte.
 
-Exit codes: 0 success, 2 config or usage error, 3 data format error,
+Exit codes: 0 success, 2 config or usage error (a config that asks for
+more memory than can be allocated among them), 3 data format error,
 4 numeric failure (a singular system, or iterative training diverging).
 """
 
@@ -498,6 +499,9 @@ def main(argv=None):
     except (ConfigError, UnsupportedNonlinearityError, ValueError,
             OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
     except (IdxFormatError, DataConsistencyError, CheckpointFormatError) as e:
         print(f"data error: {e}", file=sys.stderr)

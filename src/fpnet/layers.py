@@ -51,7 +51,9 @@ KIND_FIELDS = {"dense": ("out_channels", "activation", "target", "ridge"),
 # Working set of every inference and closed-form fit batch: rows per batch
 # are at most this divided by the bytes one sample holds at once in the
 # layer step that holds the most, its input, what the step builds from it
-# and its output (``_shape_walk``, ``_budget_rows``). Fits grow small batches
+# and its output (``_shape_walk``, ``_budget_rows``). A conv step is counted
+# with its whole window matrix, an upper bound, though it builds that in
+# blocks of WINDOW_BLOCK_BYTES. Fits grow small batches
 # until their design rows take the bytes of their largest Gram matrix, never
 # past this bound. On the 28x28 conv benchmark net a batch is 34 images, for
 # predict (no slower than one full batch) and for fitting alike; a 784 ->
@@ -59,6 +61,14 @@ KIND_FIELDS = {"dense": ("out_channels", "activation", "target", "ridge"),
 # faster than 256-row ones; and with 10 classes its predict on 2000 rows
 # runs as two batches of at most 1042.
 INFERENCE_BUDGET_BYTES = 16 * 2**20
+
+# Conv layers build their window rows a block of whole samples at a time,
+# at most this many bytes a block (but at least one sample): ``potentials``
+# writes each block's product into one output, and a closed-form fit folds
+# each block into its Gram sums (``_blocks``). Iterative fits, whose steps
+# take a whole batch, and ``explain``, which reads one sample, build them
+# whole.
+WINDOW_BLOCK_BYTES = 2**20
 
 
 def _integer(value, name):
@@ -231,24 +241,54 @@ def _window_rows_order(spec, m, channels_last):
     return m.reshape(*groups, m.shape[1]).swapaxes(0, 1).reshape(m.shape)
 
 
+def _blocks(spec, x):
+    """Indices of the blocks of samples of ``x`` whose design rows a step of
+    ``spec`` builds at once, in sample order.
+
+    A conv layer's blocks hold at most WINDOW_BLOCK_BYTES of window rows
+    each, and at least one sample. Every other layer, and input that
+    ``_rows`` will reject, takes all of ``x`` as one block (``...``).
+    """
+    walk = (_shape_walk([(spec, None, 1)], x.shape[1:])
+            if spec.kind in CONV_DIMS else None)
+    if walk:
+        (width, _, shape), = walk  # a sample's rows: one per output position
+        sample = 8 * width * math.prod(shape[1:])
+        step = max(1, WINDOW_BLOCK_BYTES // max(1, sample))
+        if step < len(x):
+            return [slice(i, i + step) for i in range(0, len(x), step)]
+    return [...]
+
+
 def potentials(layer, x):
     """Pre-activation potentials of a trained weighted layer.
 
     dense, output : (N, out_channels) matrix; an output layer's are its
         scores.
-    conv : (N, out_channels, *spatial') tensor.
+    conv : (N, out_channels, *spatial') tensor. The window rows are built
+        a block of samples at a time (``_blocks``), each block's product
+        written into one output, which is the same bit for bit as building
+        them whole.
     """
     spec = layer.spec
     w = layer.w
     if w is None:
         raise ValueError(f"{spec.kind} layer has no weights")
-    rows, grid = _rows(spec, x, w.shape[0])
-    if rows.shape[1] != w.shape[0]:
-        raise ValueError(
-            f"rows of width {rows.shape[1]} do not match weights {w.shape[0]}")
-    accounting.add_macs("forward", accounting.matmul_macs(
-        rows.shape[0], rows.shape[1], w.shape[1]))
-    z = rows @ _window_rows_order(spec, w, channels_last=True)
+    x = np.asarray(x, dtype=np.float64)
+    w_rows = _window_rows_order(spec, w, channels_last=True)
+    z, start = None, 0
+    for block in _blocks(spec, x):
+        rows, grid = _rows(spec, x[block], w.shape[0])
+        if rows.shape[1] != w.shape[0]:
+            raise ValueError(f"rows of width {rows.shape[1]} do not match "
+                             f"weights {w.shape[0]}")
+        accounting.add_macs("forward", accounting.matmul_macs(
+            rows.shape[0], rows.shape[1], w.shape[1]))
+        if z is None:  # one row per sample and output position
+            z = np.empty((len(x) * math.prod(grid), w.shape[1]))
+        np.matmul(rows, w_rows, out=z[start:start + len(rows)])
+        start += len(rows)
+        del rows  # before the next block is built
     if not grid:
         return z
     return np.moveaxis(z.reshape(-1, *grid, w.shape[1]), -1, 1)
@@ -320,12 +360,12 @@ def fit_layer(spec, stream, q=None, u=None, mode="closed_form", targets=None):
     mode : "closed_form" accumulates Gram sums in one pass and solves the
         ridge once at the end; an IterativeConfig takes one gradient step on
         the same objective per batch, over ``epochs`` passes.
-    targets : a hidden layer's target source, called on every batch as
-        ``targets(rows, y, q, u, spec.target)``, with the batch's design rows
-        and its labels, one row per sample; a conv layer's rows hold each
-        sample's window positions in turn. It returns one row of target
-        potentials per design row, or None when the weights are q itself and
-        no pass is needed. Defaults to ``generate_targets``.
+    targets : a hidden layer's target source, called on every batch (or
+        block of a batch, below) as ``targets(rows, y, q, u, spec.target)``,
+        with its design rows and labels, one row per sample; a conv layer's
+        rows hold each sample's window positions in turn. It returns one row
+        of target potentials per design row, or None when the weights are q
+        itself and no pass is needed. Defaults to ``generate_targets``.
 
     The output layer's targets are the labels. Its rows gain a last,
     constant intercept column, and the solvers get ``intercept=True``,
@@ -335,6 +375,14 @@ def fit_layer(spec, stream, q=None, u=None, mode="closed_form", targets=None):
     A conv layer's window rows are channels-last, so ``targets`` gets q's
     rows in that order and the weights are fitted in it; the returned w and
     q are channel-major (see the module docstring).
+
+    In closed form a conv layer builds each batch's rows a block of samples
+    at a time (``_blocks``, at most WINDOW_BLOCK_BYTES of rows): ``targets``
+    is called on each block, with the block's labels, and the block is
+    folded into the Gram sums before the next one is built, so the weights
+    differ from those of whole batches by the rounding of the sums only. An
+    iterative step takes the gradient of the whole batch, so it builds the
+    batch's rows whole.
     """
     if spec.kind == "global_avg_pool":
         raise ValueError(f"fit_layer handles trainable and output layers, "
@@ -351,34 +399,45 @@ def fit_layer(spec, stream, q=None, u=None, mode="closed_form", targets=None):
             if y.shape[0] != len(x_batch):
                 raise ValueError(f"batch has {len(x_batch)} samples but "
                                  f"{y.shape[0]} label rows")
-            rows, _ = _rows(spec, x_batch)
-            del x_batch  # the rows hold all this step needs of it
-            if output:  # fit the labels
-                z, width = y, y.shape[1]
-            else:
-                if q_rows is None:
-                    if q is None or u is None:
-                        q, u = _draw_projections(spec, rows.shape[1],
-                                                 y.shape[1])
-                    q_rows = _window_rows_order(spec, q, channels_last=True)
-                z = source(rows, y, q_rows, u, spec.target)
-                if z is None:
-                    return TrainedLayer(spec, w=q, q=q, u=u)
-                width = spec.out_channels
-            if iterative:
-                if w is None:
-                    w = np.zeros((rows.shape[1], width))
-                w = iterative_update(w, rows, z, mode.eta, ridge.lam, output)
-                accounting.note_matrices(w, q, u, rows, z)
-            else:
-                if acc is None:
-                    acc = GramAccumulator(rows.shape[1], width)
-                acc.update(rows, z)
-                # kept batches already count this batch's rows and targets
-                accounting.note_matrices(acc, q, u,
-                                         *(() if acc.kept else (rows, z)))
-            # let this batch go before the stream builds the next one
-            del y_batch, rows, y, z
+            x_batch = np.asarray(x_batch, dtype=np.float64)
+            # a gradient step takes the whole batch; the Gram sums take it a
+            # block at a time
+            blocks = [...] if iterative else _blocks(spec, x_batch)
+            for block in blocks:
+                rows, _ = _rows(spec, x_batch[block])
+                if block is blocks[-1]:
+                    del x_batch  # the rows hold all this step needs of it
+                yb = y[block]
+                if output:  # fit the labels
+                    z, width = yb, yb.shape[1]
+                else:
+                    if q_rows is None:
+                        if q is None or u is None:
+                            q, u = _draw_projections(spec, rows.shape[1],
+                                                     yb.shape[1])
+                        q_rows = _window_rows_order(spec, q,
+                                                    channels_last=True)
+                    z = source(rows, yb, q_rows, u, spec.target)
+                    if z is None:
+                        return TrainedLayer(spec, w=q, q=q, u=u)
+                    width = spec.out_channels
+                if iterative:
+                    if w is None:
+                        w = np.zeros((rows.shape[1], width))
+                    w = iterative_update(w, rows, z, mode.eta, ridge.lam,
+                                         output)
+                    accounting.note_matrices(w, q, u, rows, z)
+                else:
+                    if acc is None:
+                        acc = GramAccumulator(rows.shape[1], width)
+                    acc.update(rows, z)
+                    # kept batches already count this block's rows and targets
+                    accounting.note_matrices(acc, q, u,
+                                             *(() if acc.kept else (rows, z)))
+                # let this block go before the next one is built
+                del rows, yb, z
+            # and this batch before the stream builds the next one
+            del y_batch, y
     if acc is None and w is None:
         raise ValueError("stream produced no batches")
     if not iterative:
@@ -546,6 +605,13 @@ def _shape_walk(steps, sample_shape):
     output layer builds a copy of its rows when it adds an intercept column
     or flattens a conv layer's output, which lies channels-last in memory.
     None when the shapes do not chain.
+
+    A conv step is counted with its whole window matrix, although
+    ``potentials`` and closed-form fits build it a block of at most
+    WINDOW_BLOCK_BYTES at a time (``_blocks``); only iterative fits and
+    ``explain`` build it whole. The count is thus an upper bound for
+    blocked steps; the batches it sizes on the 28x28 conv benchmark net are
+    34 images.
     """
     shape, walk, from_conv = tuple(sample_shape), [], False
     for spec, w_in, w_out in steps:

@@ -228,6 +228,19 @@ class TestErrorPaths:
         assert main(["train", "--config", str(cfg), "--out",
                      str(tmp_path / "fp")]) == 0
 
+    def test_unallocatable_layer_is_config_error(self, tmp_path, capsys):
+        # q alone would be 12 x 10**12 floats, 87 TiB; numpy refuses the
+        # request outright, so nothing is allocated
+        cfg = _write_config(
+            tmp_path / "cfg.json",
+            architecture=[{"kind": "dense", "out_channels": 10**12},
+                          {"kind": "output"}])
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ")
+        assert "Traceback" not in err
+
 
 # JSON text for a number past float range; json.loads reads it as inf
 _HUGE = "1e400"

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fpnet.baselines as baselines_mod
 import fpnet.layers as layers_mod
 from fpnet import accounting
-from fpnet.baselines import BaselineKind, make_baseline_targets
+from fpnet.baselines import (BaselineKind, fit_baseline_network,
+                             make_baseline_targets)
 from fpnet.core import (RidgeConfig, TargetGenSpec, generate_targets,
                         ridge_solve)
 from fpnet.data import Dataset, one_hot
@@ -1073,6 +1075,111 @@ class TestInputsUnchanged:
         expect = {"sign": np.sign, "identity": lambda v: v, "tanh": np.tanh}[g]
         assert np.array_equal(z, expect(a @ q) + expect(y @ u) + alpha)
 
+
+def _block_bytes(block, call):
+    """``call()`` with conv window rows built in blocks of ``block`` bytes."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(layers_mod, "WINDOW_BLOCK_BYTES", block)
+        return call()
+
+
+WHOLE = 2**40  # block bytes that take any test batch whole
+
+
+class TestWindowBlocks:
+    """Conv layers build their window rows a block of samples at a time."""
+
+    # 13 and 10 samples in blocks of 4 and 3: the last block is partial
+    POTENTIALS = {
+        "conv2d": lambda: (LayerSpec("conv2d", 5, (3, 2), 2, "relu"),
+                           (13, 3, 12, 11), 4 * 8 * 25 * 18),
+        "conv1d": lambda: (LayerSpec("conv1d", 7, (5,), 3, "relu"),
+                           (10, 4, 50), 3 * 8 * 16 * 20),
+    }
+
+    @pytest.mark.parametrize("case", sorted(POTENTIALS))
+    def test_blocked_potentials_bit_identical(self, case):
+        spec, shape, block = self.POTENTIALS[case]()
+        x = SeededRng(31).standard_normal(shape)
+        width = shape[1] * int(np.prod(spec.kernel))
+        layer = TrainedLayer(spec, w=SeededRng(32).standard_normal(
+            (width, spec.out_channels)))
+        assert len(_block_bytes(
+            block, lambda: layers_mod._blocks(spec, x))) == 4
+        blocked = _block_bytes(block, lambda: potentials(layer, x))
+        whole = _block_bytes(WHOLE, lambda: potentials(layer, x))
+        assert np.array_equal(blocked, whole)
+        assert blocked.strides == whole.strides
+
+    def test_closed_form_fits_match_single_block(self):
+        # a block of one image on both conv layers, 37 images a batch
+        x = SeededRng(33).standard_normal((80, 1, 28, 28))
+        y = one_hot(np.arange(80) % 4)
+        fits = [_block_bytes(block, lambda: fit_network(
+                    _conv_specs(), (x, y), batch_size=37))
+                for block in (8, WHOLE)]
+        for got, ref in zip(*(net.layers for net in fits)):
+            if ref.w is not None:
+                rel = np.linalg.norm(got.w - ref.w) / np.linalg.norm(ref.w)
+                assert rel <= 1e-12
+
+    def test_noisy_label_projection_draws_same_noise(self, monkeypatch):
+        # noise is drawn per design row, so blocks of rows in order draw
+        # the same sequence as whole batches
+        x = SeededRng(34).standard_normal((30, 1, 28, 28))
+        y = one_hot(np.arange(30) % 3)
+        kind = BaselineKind("noisy_label_projection")
+        make, drawn = baselines_mod.make_baseline_targets, []
+
+        def recorded(*args, **kwargs):
+            drawn.append(make(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(baselines_mod, "make_baseline_targets", recorded)
+        fits, targets = [], []
+        for block in (2**18, WHOLE):
+            drawn.clear()
+            fits.append(_block_bytes(block, lambda: fit_baseline_network(
+                kind, _conv_specs(), (x, y), noise_seed=5)))
+            targets.append((len(drawn),
+                            np.concatenate([z.ravel() for z in drawn])))
+        (blocks, blocked), (batches, whole) = targets
+        assert blocks > batches
+        assert np.array_equal(blocked, whole)
+        for got, ref in zip(*(net.layers for net in fits)):
+            if ref.w is not None:
+                rel = np.linalg.norm(got.w - ref.w) / np.linalg.norm(ref.w)
+                assert rel <= 1e-12
+
+    def test_fit_and_predict_build_one_block_at_a_time(self, monkeypatch):
+        built = []
+        extract = layers_mod.extract_windows
+
+        def spied(*args, **kwargs):
+            rows = extract(*args, **kwargs)
+            built.append(rows.nbytes)
+            return rows
+
+        x = SeededRng(35).standard_normal((100, 1, 28, 28))
+        y = one_hot(np.arange(100) % 10)
+        monkeypatch.setattr(layers_mod, "extract_windows", spied)
+        net = fit_network(_conv_specs(), (x, y), batch_size=256)
+        fitted = len(built)
+        predict(net, x)
+        assert max(built) <= layers_mod.WINDOW_BLOCK_BYTES
+        # 34-image batches, in blocks of 9 and 3 images
+        assert fitted > 2 * 3 * 2 and len(built) > fitted
+
+    def test_predict_memory_within_input_output_and_two_blocks(self):
+        net = _conv_net()
+        x = SeededRng(36).standard_normal((34, 1, 28, 28))
+        # each step's input and output, for one 34-image batch
+        shapes = [(1, 28, 28), (32, 24, 24), (64, 11, 11), (64,), (10,)]
+        step = max(8 * 34 * (np.prod(a) + np.prod(b))
+                   for a, b in zip(shapes, shapes[1:]))
+        _, peak = _traced_peak(lambda: predict(net, x))
+        slack = 2**19
+        assert peak < step + 2 * layers_mod.WINDOW_BLOCK_BYTES + slack
 
 @pytest.mark.fmnist
 class TestImageBenchmarkLayer:
