@@ -10,16 +10,16 @@ pseudo-inverse of u maps back to class space:
 For g = identity the inverse is exact; for g = sign the smooth surrogate
 tanh stands in for the (non-invertible) inverse. Other target
 nonlinearities are not supported. Swapping the roles of q and u instead
-recovers the input that the potentials encode.
+recovers the input that the potentials encode. Conv windows are built and
+averaged back by ``layers``, in the layer's own order and geometry.
 """
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import UnsupportedNonlinearityError
-from .layers import CONV_DIMS, conv_output_shape, _rows, _window_rows_order
+from .layers import CONV_DIMS, average_windows, potentials
 from .linalg import activate, as_matrix, pseudo_inverse_rows
 
 SUPPORTED_G = ("sign", "identity")
@@ -104,13 +104,13 @@ def _inverse_g(layer):
     return np.tanh if target.g == "sign" else (lambda v: v)
 
 
-def _decode(layer, z, known, proj, pinv):
-    """g_inv(z - g(known @ proj) - alpha) @ pinv, a row per row of ``known``:
-    per sample, or per window position of a conv layer's (N, m, *spatial') z."""
-    target = layer.spec.target
-    z_rows = np.moveaxis(z, 1, -1).reshape(known.shape[0], proj.shape[1])
-    g_known = activate(target.g, known @ proj, in_place=True)
-    return _inverse_g(layer)(z_rows - g_known - target.alpha) @ pinv
+def _decode(layer, z, known, pinv):
+    """g_inv(z - known - alpha) @ pinv along axis 1 of potentials ``z``,
+    (N, m, *spatial'), ``known`` broadcast to them; (N, *spatial', r)."""
+    d = np.moveaxis(z - known, 1, -1)
+    d -= layer.spec.target.alpha
+    d = _inverse_g(layer)(d)
+    return (d.reshape(-1, d.shape[-1]) @ pinv).reshape(*d.shape[:-1], -1)
 
 
 def explain_layer(layer, a_prev, z, origin=None, layer_index=0):
@@ -122,53 +122,32 @@ def explain_layer(layer, a_prev, z, origin=None, layer_index=0):
     origin : grid geometry of a_prev in input coordinates (conv stacks);
         defaults to the identity grid.
 
-    Decodes the rows the layer was fitted on, channels-last windows for a
-    conv layer, against q's rows taken in the same order. Returns an
-    ExplanationMap whose trailing axis indexes classes.
+    g(a_prev @ q) comes from ``layers.potentials`` of the layer with q as
+    its weights, so a conv layer's windows are built as ``forward`` builds
+    them. Returns an ExplanationMap whose trailing axis indexes classes.
     """
     spec = layer.spec
     _inverse_g(layer)  # an undecodable layer fails before any work
     u_pinv = pseudo_inverse_rows(layer.u)
-    rows, grid = _rows(spec, a_prev)
-    n = rows.shape[0] // math.prod(grid)
+    g_in = activate(spec.target.g, potentials(replace(layer, w=layer.q),
+                                              a_prev), in_place=True)
     z = np.asarray(z, dtype=np.float64)
-    want = (n, layer.q.shape[1], *grid)
-    if z.shape != want:
-        raise ValueError(f"potentials shaped {z.shape}, expected {want}")
-    q_rows = _window_rows_order(spec, layer.q, channels_last=True)
-    values = _decode(layer, z, rows, q_rows, u_pinv)
-    if not grid:
+    if z.shape != g_in.shape:
+        raise ValueError(f"potentials shaped {z.shape}, expected {g_in.shape}")
+    values = _decode(layer, z, g_in, u_pinv)
+    if spec.kind not in CONV_DIMS:
         return ExplanationMap(layer_index, values, origin=None)
-    if origin is None:
-        origin = identity_origin(len(grid))
-    return ExplanationMap(
-        layer_index, values.reshape(n, *grid, u_pinv.shape[1]),
-        origin=compose_origin(origin, spec.kernel, spec.stride))
-
-
-def _windows_to_tensor(rows, n, channels, spatial, kernel, stride):
-    """Overlap-averaging inverse of extract_windows (zero where uncovered)."""
-    out_spatial = conv_output_shape(spatial, kernel, stride)
-    acc = np.zeros((n, channels, *spatial))
-    cnt = np.zeros(spatial)
-    per = rows.reshape(n, *out_spatial, channels, *kernel)
-    for pos in np.ndindex(*out_spatial):  # raster order, as the windows
-        cells = tuple(slice(p * stride, p * stride + k)
-                      for p, k in zip(pos, kernel))
-        acc[(..., *cells)] += per[(slice(None), *pos)]
-        cnt[cells] += 1.0
-    covered = cnt > 0
-    acc[..., covered] /= cnt[covered]
-    return acc
+    return ExplanationMap(layer_index, values, origin=compose_origin(
+        origin or identity_origin(len(spec.kernel)), spec.kernel, spec.stride))
 
 
 def reconstruct_input(layer, z, y):
     """Recover the layer input encoded in its potentials.
 
-    ahat = g_inv(z - g(y @ u) - alpha) @ q_pinv, with y repeated over a conv
-    layer's grid. Needs the input dimension (per window, for conv layers)
-    to be at most the layer width, otherwise q has no right inverse and
-    RankDeficientError is raised.
+    ahat = g_inv(z - g(y @ u) - alpha) @ q_pinv, g(y @ u) once per sample
+    for all positions of a conv layer's grid. Needs the input dimension
+    (per window, for conv layers) to be at most the layer width, otherwise
+    q has no right inverse and RankDeficientError is raised.
 
     Dense layers return an (N, d) matrix of flattened inputs; conv layers
     reconstruct each window and average overlaps back into an
@@ -179,19 +158,17 @@ def reconstruct_input(layer, z, y):
     q_pinv = pseudo_inverse_rows(layer.q)
     y = as_matrix(y, "y")
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim < 2 or z.shape[0] != y.shape[0]:
-        raise ValueError(f"potentials shaped {z.shape} do not fit "
-                         f"{y.shape[0]} label rows")
     grid = z.shape[2:]
-    rows = _decode(layer, z, np.repeat(y, math.prod(grid), axis=0),
-                   layer.u, q_pinv)
+    if (z.shape[:2] != (y.shape[0], layer.u.shape[1])
+            or len(grid) != CONV_DIMS.get(spec.kind, 0)):
+        raise ValueError(f"potentials shaped {z.shape} do not fit {spec.kind}"
+                         f" layer width {layer.u.shape[1]}, {len(y)} labels")
+    g_label = activate(spec.target.g, y @ layer.u, in_place=True)
+    per_sample = g_label.reshape(*g_label.shape, *(1,) * len(grid))
+    rows = _decode(layer, z, per_sample, q_pinv)
     if not grid:
         return rows
-    channels = layer.q.shape[0] // math.prod(spec.kernel)
-    spatial = tuple((p - 1) * spec.stride + k
-                    for p, k in zip(grid, spec.kernel))
-    return _windows_to_tensor(rows, z.shape[0], channels, spatial,
-                              spec.kernel, spec.stride)
+    return average_windows(rows, grid, spec.kernel, spec.stride)
 
 
 def render_map(emap, class_index, upsample_to):

@@ -23,9 +23,8 @@ channels_last=True)``: the channels of kernel offset 0, then of offset 1,
 and so on). A conv layer's output lies in memory as (N, *spatial', C), so
 each run of that gather is k2 * C contiguous floats rather than k2 floats
 C apart. The small matrices follow the large one: ``potentials`` takes
-w's rows in channels-last order; a conv fit takes q's rows in that order,
-fits in it and maps w back to channel-major rows; and ``explain`` gathers
-the same rows and reorders q's rows to match them.
+w's rows in channels-last order (``explain`` decodes through it, with q as
+w); a conv fit takes q's rows in that order, fits in it and maps w back.
 """
 
 import math
@@ -64,9 +63,9 @@ INFERENCE_BUDGET_BYTES = 16 * 2**20
 
 # Conv layers build their window rows a block of whole samples at a time,
 # at most this many bytes a block (but at least one sample): ``potentials``
-# writes each block's product into one output, and a closed-form fit folds
-# each block into its Gram sums (``_blocks``). Iterative fits, whose steps
-# take a whole batch, and ``explain``, which reads one sample, build them
+# writes each block's product into one output (``explain`` decodes through
+# it), and a closed-form fit folds each block into its Gram sums
+# (``_blocks``). Iterative fits, whose steps take a whole batch, build them
 # whole.
 WINDOW_BLOCK_BYTES = 2**20
 
@@ -171,6 +170,23 @@ def conv_output_shape(spatial, kernel, stride):
     return tuple(out)
 
 
+def _windows(x, kernel, stride, writeable=False):
+    """The (N, C, *P, *kernel) view of the valid windows of ``x`` (N, C,
+    *spatial) on output grid P: [n, c, *p, *o] is x[n, c, *(p * stride + o)].
+    """
+    kernel = tuple(int(k) for k in np.atleast_1d(kernel))
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    d = x.ndim - 2  # spatial axes
+    if d < 1 or len(kernel) != d:
+        raise ValueError(f"input shaped {x.shape} is not (N, C, *spatial) "
+                         f"with one spatial axis per kernel length {kernel}")
+    conv_output_shape(x.shape[2:], kernel, stride)
+    v = np.lib.stride_tricks.sliding_window_view(
+        x, kernel, axis=tuple(range(2, x.ndim)), writeable=writeable)
+    return v[(slice(None), slice(None)) + (slice(None, None, stride),) * d]
+
+
 def extract_windows(x, kernel, stride=1, *, channels_last=False):
     """Flatten all valid convolution windows into a matrix.
 
@@ -181,24 +197,31 @@ def extract_windows(x, kernel, stride=1, *, channels_last=False):
     channels_last : order each row's columns kernel offset first and
         channel last, (*kernel, C), instead of channel-major.
     """
-    x = np.asarray(x, dtype=np.float64)
-    kernel = tuple(int(k) for k in np.atleast_1d(kernel))
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    d = x.ndim - 2  # spatial axes
-    if d < 1 or len(kernel) != d:
-        raise ValueError(f"input shaped {x.shape} is not (N, C, *spatial) "
-                         f"with one spatial axis per kernel length {kernel}")
-    conv_output_shape(x.shape[2:], kernel, stride)
-    v = np.lib.stride_tricks.sliding_window_view(x, kernel,
-                                                 axis=tuple(range(2, x.ndim)))
-    v = v[(slice(None), slice(None)) + (slice(None, None, stride),) * d]
+    v = _windows(np.asarray(x, dtype=np.float64), kernel, stride)
     # (N, C, *P, *k) to (N, *P, *k, C) channels last, else (N, *P, C, *k)
+    d = v.ndim // 2 - 1
     grid, offsets = range(2, 2 + d), range(2 + d, 2 + 2 * d)
     v = v.transpose((0, *grid, *offsets, 1) if channels_last
                     else (0, *grid, 1, *offsets))
-    return v.reshape(math.prod(v.shape[:1 + d]),
-                     x.shape[1] * math.prod(kernel))
+    return v.reshape(math.prod(v.shape[:1 + d]), math.prod(v.shape[1 + d:]))
+
+
+def average_windows(rows, grid, kernel, stride):
+    """Overlap-averaging inverse of ``extract_windows``: its channel-major
+    rows on the output ``grid`` back to the (N, C, *spatial) tensor, spatial
+    the least extent that gives ``grid``. A cell is the mean of the windows
+    over it, added in raster position order, or zero if none covers it.
+    """
+    spatial = tuple((p - 1) * stride + k for p, k in zip(grid, kernel))
+    # (N * P, C * k) to (N, C, *P, *k), the shape of the window view
+    per = rows.reshape(-1, *grid, rows.shape[-1] // math.prod(kernel), *kernel)
+    per = np.moveaxis(per, 1 + len(grid), 1)
+    acc = np.zeros((*per.shape[:2], *spatial))
+    cnt = np.zeros((1, 1, *spatial))
+    for total, add in ((acc, per), (cnt, 1.0)):
+        # add.at is unbuffered, so windows that overlap add up
+        np.add.at(_windows(total, kernel, stride, writeable=True), ..., add)
+    return np.divide(acc, cnt, out=acc, where=cnt > 0)
 
 
 def _rows(spec, x, w_rows=None):
@@ -608,10 +631,9 @@ def _shape_walk(steps, sample_shape):
 
     A conv step is counted with its whole window matrix, although
     ``potentials`` and closed-form fits build it a block of at most
-    WINDOW_BLOCK_BYTES at a time (``_blocks``); only iterative fits and
-    ``explain`` build it whole. The count is thus an upper bound for
-    blocked steps; the batches it sizes on the 28x28 conv benchmark net are
-    34 images.
+    WINDOW_BLOCK_BYTES at a time (``_blocks``); only iterative fits build it
+    whole. The count is thus an upper bound for blocked steps; the batches
+    it sizes on the 28x28 conv benchmark net are 34 images.
     """
     shape, walk, from_conv = tuple(sample_shape), [], False
     for spec, w_in, w_out in steps:

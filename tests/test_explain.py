@@ -13,9 +13,9 @@ from fpnet.explain import (ExplanationMap, SpatialOrigin, compose_origin,
                            explain_layer, identity_origin, input_origin,
                            reconstruct_input, render_map, write_map_csv,
                            write_map_pgm)
-from fpnet.layers import (LayerSpec, TrainedLayer, conv_output_shape,
-                          extract_windows, fit_layer, fit_network,
-                          network_forward, potentials)
+from fpnet.layers import (LayerSpec, TrainedLayer, average_windows,
+                          conv_output_shape, extract_windows, fit_layer,
+                          fit_network, network_forward, potentials)
 from fpnet.linalg import SeededRng, gaussian_matrix
 
 
@@ -27,6 +27,23 @@ def _dense_layer(m_prev, m, m_l, g="identity", seed=0, alpha=0.0):
     q = gaussian_matrix(m_prev, m, rng)
     u = gaussian_matrix(m_l, m, rng)
     return TrainedLayer(spec, w=None, q=q, u=u)
+
+
+def _position_loop_average(rows, n, channels, spatial, kernel, stride):
+    """Overlap average of channel-major window rows, one window position at
+    a time in raster order."""
+    grid = conv_output_shape(spatial, kernel, stride)
+    acc = np.zeros((n, channels, *spatial))
+    cnt = np.zeros(spatial)
+    per = rows.reshape(n, *grid, channels, *kernel)
+    for pos in np.ndindex(*grid):
+        cells = tuple(slice(p * stride, p * stride + k)
+                      for p, k in zip(pos, kernel))
+        acc[(..., *cells)] += per[(slice(None), *pos)]
+        cnt[cells] += 1.0
+    covered = cnt > 0
+    acc[..., covered] /= cnt[covered]
+    return acc
 
 
 class TestExplainLayer:
@@ -126,6 +143,32 @@ class TestExplainLayer:
         monkeypatch.setattr(layers_mod, "extract_windows", counted)
         explain_layer(layer, x, z)
         assert calls == [True]
+
+    def test_conv_builds_windows_in_blocks(self, monkeypatch):
+        # 40 samples of 32 x 24 x 24 through a 3x3, stride-2 layer: 279 KB
+        # of window rows a sample, 11.2 MB for all of them at once
+        x = SeededRng(17).standard_normal((40, 32, 24, 24))
+        spec = LayerSpec("conv2d", out_channels=16, kernel=(3, 3), stride=2,
+                         activation="relu",
+                         target=TargetGenSpec(g="sign", q_seed=1, u_seed=2))
+        layer = TrainedLayer(spec, w=None,
+                             q=gaussian_matrix(288, 16, SeededRng(1)),
+                             u=gaussian_matrix(3, 16, SeededRng(2)))
+        z = SeededRng(18).standard_normal((40, 16, 11, 11))
+        built = []
+        extract = layers_mod.extract_windows
+
+        def spied(*args, **kwargs):
+            rows = extract(*args, **kwargs)
+            built.append(rows.nbytes)
+            return rows
+
+        monkeypatch.setattr(layers_mod, "extract_windows", spied)
+        emap = explain_layer(layer, x, z)
+        assert emap.values.shape == (40, 11, 11, 3)
+        assert sum(built) == 40 * 121 * 288 * 8
+        assert len(built) > 1
+        assert max(built) <= layers_mod.WINDOW_BLOCK_BYTES
 
     def test_pure_function(self):
         rng = SeededRng(15)
@@ -253,6 +296,64 @@ class TestReconstructInput:
         covered[..., uncovered] = False
         assert_allclose(xhat[..., covered], x[..., covered], atol=1e-6)
         assert np.all(xhat[..., ~covered] == 0.0)
+
+    @pytest.mark.parametrize("shape, kernel, stride", [
+        ((2, 1, 5), (2,), 1), ((2, 3, 7, 5), (3, 1), 2),
+        ((4, 1, 28, 28), (5, 5), 1), ((2, 5, 8, 9), (2, 3), 3)])
+    def test_overlap_average_matches_position_loop(self, shape, kernel,
+                                                    stride):
+        # the same additions in the same order, so the same bits
+        grid = conv_output_shape(shape[2:], kernel, stride)
+        rows = SeededRng(36).standard_normal(
+            (shape[0] * math.prod(grid), shape[1] * math.prod(kernel)))
+        spatial = tuple((p - 1) * stride + k for p, k in zip(grid, kernel))
+        got = average_windows(rows, grid, kernel, stride)
+        ref = _position_loop_average(rows, shape[0], shape[1], spatial,
+                                     kernel, stride)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+    def test_conv_sign_matches_repeated_label_reference(self):
+        # C = 3, a 1x3 kernel at stride 2 on 7x9: rows 1, 3 and 5 lie under
+        # no window, columns 2, 4 and 6 under two
+        x = SeededRng(37).standard_normal((4, 3, 7, 9))
+        y = one_hot(np.arange(4) % 3)
+        spec = LayerSpec("conv2d", out_channels=24, kernel=(1, 3), stride=2,
+                         activation="relu",
+                         target=TargetGenSpec(g="sign", alpha=0.3, q_seed=9,
+                                              u_seed=10))
+        layer = fit_layer(spec, [(x, y)])
+        z = potentials(layer, x)
+        # labels repeated over the 4 x 4 positions, overlaps averaged by a
+        # loop over positions
+        z_rows = np.moveaxis(z, 1, -1).reshape(-1, 24)
+        g_y = np.sign(np.repeat(y, 16, axis=0) @ layer.u)
+        rows = np.tanh(z_rows - g_y - 0.3) @ np.linalg.pinv(layer.q)
+        ref = _position_loop_average(rows, 4, 3, (7, 9), (1, 3), 2)
+        xhat = reconstruct_input(layer, z, y)
+        assert xhat.shape == ref.shape
+        assert np.linalg.norm(xhat - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.all(xhat[:, :, [1, 3, 5]] == 0.0)
+
+    @pytest.mark.parametrize("z_shape, y", [
+        ((2, 1, 4, 4), one_hot(np.array([0, 1]), 3)),
+        ((3, 24, 4, 4), one_hot(np.array([0, 1]), 3)),
+        ((2, 24), one_hot(np.array([0, 1]), 3)),
+        ((2, 24, 4, 4, 1), one_hot(np.array([0, 1]), 3)),
+        ((2,), one_hot(np.array([0, 1]), 3)),
+        ((2, 24, 4, 4), one_hot(np.array([0, 1]), 4)),
+        ((2, 24, 4, 4), np.zeros(2))],
+        ids=["narrow", "samples", "no-grid", "extra-axis", "1-d",
+             "label-width", "1-d-labels"])
+    def test_conv_malformed_input_rejected(self, z_shape, y):
+        spec = LayerSpec("conv2d", out_channels=24, kernel=(1, 3), stride=2,
+                         activation="relu",
+                         target=TargetGenSpec(g="sign", q_seed=9, u_seed=10))
+        layer = TrainedLayer(spec, w=None,
+                             q=gaussian_matrix(9, 24, SeededRng(9)),
+                             u=gaussian_matrix(3, 24, SeededRng(10)))
+        with pytest.raises(ValueError):
+            reconstruct_input(layer, np.zeros(z_shape), y)
 
 
 class TestOrigins:
