@@ -50,15 +50,13 @@ KIND_FIELDS = {"dense": ("out_channels", "activation", "target", "ridge"),
 # Working set of every inference and closed-form fit batch: rows per batch
 # are at most this divided by the bytes one sample holds at once in the
 # layer step that holds the most, its input, what the step builds from it
-# and its output (``_shape_walk``, ``_budget_rows``). A conv step is counted
-# with its whole window matrix, an upper bound, though it builds that in
-# blocks of WINDOW_BLOCK_BYTES. Fits grow small batches
-# until their design rows take the bytes of their largest Gram matrix, never
-# past this bound. On the 28x28 conv benchmark net a batch is 34 images, for
-# predict (no slower than one full batch) and for fitting alike; a 784 ->
-# 1000 x 3 fit streams 1001 rows a batch, whose Gram and target products run
-# faster than 256-row ones; and with 10 classes its predict on 2000 rows
-# runs as two batches of at most 1042.
+# and its output (``_shape_walk``, ``_budget_rows``; a conv step counted with
+# its whole window matrix, an upper bound). Fits grow small batches until
+# their design rows take the bytes of their largest Gram matrix, never past
+# this bound, and keep a layer's output only where it and a batch's live set
+# in every later step fit this together. On the 28x28 conv benchmark net a
+# batch is 34 images, for predict and fitting alike; a 784 -> 1000 x 3 fit
+# streams 1001 rows a batch, and its predict on 2000 rows runs as two.
 INFERENCE_BUDGET_BYTES = 16 * 2**20
 
 # Conv layers build their window rows a block of whole samples at a time,
@@ -181,10 +179,13 @@ def _windows(x, kernel, stride, writeable=False):
     if d < 1 or len(kernel) != d:
         raise ValueError(f"input shaped {x.shape} is not (N, C, *spatial) "
                          f"with one spatial axis per kernel length {kernel}")
-    conv_output_shape(x.shape[2:], kernel, stride)
-    v = np.lib.stride_tricks.sliding_window_view(
-        x, kernel, axis=tuple(range(2, x.ndim)), writeable=writeable)
-    return v[(slice(None), slice(None)) + (slice(None, None, stride),) * d]
+    # validated extents keep every window inside x
+    grid = conv_output_shape(x.shape[2:], kernel, stride)
+    steps = x.strides[2:]
+    return np.lib.stride_tricks.as_strided(
+        x, (*x.shape[:2], *grid, *kernel),
+        (*x.strides[:2], *(s * stride for s in steps), *steps),
+        writeable=writeable)
 
 
 def extract_windows(x, kernel, stride=1, *, channels_last=False):
@@ -478,8 +479,10 @@ def _dataset_xy(dataset):
 
 
 def make_batches(x, y, batch_size):
-    """Factory over contiguous (x, y) slices in stored order; ``Pixels``
-    become float64 one slice at a time."""
+    """Factory over contiguous (x, y) slices of ``batch_size`` rows in stored
+    order, the batches of fits and of ``network_forward``; ``Pixels`` become
+    float64 one slice at a time. Zero rows make one empty batch, which the
+    first layer rejects."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     n = x.shape[0]
@@ -487,7 +490,7 @@ def make_batches(x, y, batch_size):
         raise ValueError("x and y disagree on sample count")
 
     def factory():
-        for start in range(0, n, batch_size):
+        for start in range(0, max(n, 1), batch_size):
             yield x[start:start + batch_size], y[start:start + batch_size]
 
     return factory
@@ -501,24 +504,24 @@ def fit_network(specs, dataset, mode="closed_form", batch_size=256,
     closed-form mode (``IterativeConfig.epochs`` passes in iterative mode),
     with earlier layers already frozen. No error signal ever flows backward.
     Right after a layer is fitted, its output is computed once and kept for
-    the layers after it, if the whole of it fits INFERENCE_BUDGET_BYTES (as
-    the shapes size it); a larger one is recomputed from the last kept input
-    for each layer that reads it. The batches are the same either way, and
-    so are the weights, bit for bit.
+    the layers after it if it fits INFERENCE_BUDGET_BYTES together with a
+    batch's live set in any later step (as the shapes size them); any other
+    output is recomputed from the last kept input for each layer that reads
+    it. The batches are the same either way, and so are the weights, bit
+    for bit.
 
     dataset : anything with .x / .y / .class_names, or an (x, y) pair.
     mode : "closed_form" or an IterativeConfig, whose batch size then
         replaces ``batch_size``.
-    batch_size : rows a closed-form fit streams per batch, within two
-        bounds. Batches of narrow rows grow until their widest design rows
-        or output hold as many floats as the largest Gram matrix the fit
-        accumulates; and no batch holds more than INFERENCE_BUDGET_BYTES in
-        any layer step, its input, what the step builds and its output
-        together (as ``inference_batch_rows`` sizes it), which caps
-        ``batch_size`` too (34 images on the 28x28 conv benchmark net; a
-        784 -> 1000 x 3 MLP grows to 1001 rows, under its cap of 1042). The
-        Gram sums, and so the weights up to rounding, do not depend on where
-        batches end.
+    batch_size : rows a closed-form fit streams per batch (``make_batches``,
+        as ``network_forward`` does), within two bounds. Batches of narrow
+        rows grow until their widest design rows or output hold as many
+        floats as the largest Gram matrix the fit accumulates, and no batch
+        holds more than INFERENCE_BUDGET_BYTES in any layer step (as
+        ``inference_batch_rows`` sizes it): 34 images on the 28x28 conv
+        benchmark net; a 784 -> 1000 x 3 MLP grows to 1001 rows, under its
+        cap of 1042. The Gram sums, and so the weights up to rounding, do
+        not depend on where batches end.
     targets : the hidden layers' target source, as in ``fit_layer``;
         Forward Projection's ``generate_targets`` by default.
     projections : one (q, u) pair per spec (None for pooling and output
@@ -558,8 +561,11 @@ def fit_network(specs, dataset, mode="closed_form", batch_size=256,
             else fit_layer(spec, _replay(source, prefix), q=q, u=u,
                            mode=mode, targets=targets))
         prefix.append(trained[-1])
+        # kept, the output stays beside every later step's batch live set
         if (k + 1 < len(specs) and walk is not None
-                and 8 * len(x) * math.prod(walk[k][2])
+                and 8 * (len(x) * math.prod(walk[k][2])
+                         + min(batch_size, len(x))
+                         * max(live for _, live, _ in walk[k + 1:]))
                 <= INFERENCE_BUDGET_BYTES):
             source, prefix = _kept(_replay(source, prefix)), []
     return Network(trained, label_dim=y.shape[1], class_names=class_names)
@@ -582,8 +588,7 @@ def _replay(batches, layers):
 
 def _kept(stream):
     """Factory over the batches of ``stream``, each computed here once."""
-    batches = list(stream())
-    return lambda: iter(batches)
+    return _stream_factory(list(stream()))
 
 
 def _fit_steps(specs, label_dim):
@@ -629,11 +634,8 @@ def _shape_walk(steps, sample_shape):
     or flattens a conv layer's output, which lies channels-last in memory.
     None when the shapes do not chain.
 
-    A conv step is counted with its whole window matrix, although
-    ``potentials`` and closed-form fits build it a block of at most
-    WINDOW_BLOCK_BYTES at a time (``_blocks``); only iterative fits build it
-    whole. The count is thus an upper bound for blocked steps; the batches
-    it sizes on the 28x28 conv benchmark net are 34 images.
+    A conv step is counted with its whole window matrix, an upper bound
+    where it is built a block at a time (``_blocks``).
     """
     shape, walk, from_conv = tuple(sample_shape), [], False
     for spec, w_in, w_out in steps:
@@ -688,15 +690,11 @@ def _budget_rows(live):
 
 def inference_batch_rows(layers, sample_shape):
     """Rows per batch that keep inference through ``layers`` within
-    INFERENCE_BUDGET_BYTES, at least 1.
-
-    A sample's footprint is what one sample shaped ``sample_shape`` holds at
-    once in the layer step that holds the most: the step's input, what it
-    builds (a conv layer's window matrix, a copy of a dense or output
-    layer's rows) and its output, as ``_shape_walk`` counts them. That is 34
-    images on the 28x28 conv benchmark net and 1042 rows on a 784 -> 1000 x
-    3 MLP of 10 classes. None when a layer cannot be sized (no weights, or shapes that do
-    not chain).
+    INFERENCE_BUDGET_BYTES, at least 1: the budget over what one sample
+    shaped ``sample_shape`` holds at once in the step that holds the most
+    (``_shape_walk``). That is 34 images on the 28x28 conv benchmark net and
+    1042 rows on a 784 -> 1000 x 3 MLP of 10 classes. None when a layer
+    cannot be sized (no weights, or shapes that do not chain).
     """
     steps = []
     for tl in layers:
@@ -710,36 +708,33 @@ def inference_batch_rows(layers, sample_shape):
     return None if widths is None else _budget_rows(widths[0])
 
 
-def _forward_all(layers, x):
-    a = np.asarray(x, dtype=np.float64)
-    for tl in layers:
-        a = forward(tl, a)
-    return a
-
-
 def network_forward(net, x, upto=None):
     """Activations after the first ``upto`` layers (all layers if None).
 
-    Inputs larger than one batch of ``inference_batch_rows`` rows run batch
-    by batch, each batch written straight into the output, which keeps the
-    first batch's memory layout; so memory beyond the output stays within
-    INFERENCE_BUDGET_BYTES, which bounds each step's input, what it builds
-    and its output together, rather than growing with the number of rows:
-    2000 rows through a 784 -> 1000 x 3 MLP run as two batches.
-    ``Pixels`` input is converted to float64 one batch at a time.
+    The batches are a fit's: ``make_batches`` slices of
+    ``inference_batch_rows`` rows, with no labels, run through the layers by
+    ``_replay``. Each is written into the output, allocated after the first
+    batch with its memory layout, so memory beyond the output stays within
+    INFERENCE_BUDGET_BYTES: 2000 rows through a 784 -> 1000 x 3 MLP run as
+    two batches. An input of one batch comes back as the layers give it.
     """
     layers = net.layers if upto is None else net.layers[:upto]
     if not isinstance(x, Pixels):  # Pixels convert a batch at a time
         x = np.asarray(x)
+    if x.ndim < 1:
+        raise ValueError("input needs a leading sample axis")
+    n = len(x)
     rows = inference_batch_rows(layers, x.shape[1:]) if x.ndim >= 2 else None
-    if rows is None or x.shape[0] <= rows:
-        return _forward_all(layers, x)
-    first = _forward_all(layers, x[:rows])
-    out = np.empty_like(first, shape=(x.shape[0], *first.shape[1:]))
+    rows = rows or max(n, 1)  # layers that cannot be sized take one batch
+    batches = _replay(make_batches(x, np.empty((n, 0)), rows), layers)()
+    first, _ = next(batches)
+    if n <= rows:  # float64 even through no layers
+        return np.asarray(first, dtype=np.float64)
+    out = np.empty_like(first, shape=(n, *first.shape[1:]))
     out[:rows] = first
     del first
-    for start in range(rows, x.shape[0], rows):
-        out[start:start + rows] = _forward_all(layers, x[start:start + rows])
+    for start in range(rows, n, rows):
+        out[start:start + rows] = next(batches)[0]
     return out
 
 

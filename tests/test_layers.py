@@ -11,7 +11,7 @@ from fpnet.baselines import (BaselineKind, fit_baseline_network,
                              make_baseline_targets)
 from fpnet.core import (RidgeConfig, TargetGenSpec, generate_targets,
                         ridge_solve)
-from fpnet.data import Dataset, one_hot
+from fpnet.data import Dataset, Pixels, one_hot
 from fpnet.layers import (INFERENCE_BUDGET_BYTES, IterativeConfig, LayerSpec,
                           Network, TrainedLayer, activate, extract_windows,
                           fit_layer, fit_network, forward,
@@ -74,6 +74,27 @@ class TestExtractWindows:
         rows = extract_windows(x, 2, 1)
         assert_allclose(rows[:3], [[0, 1], [1, 2], [2, 3]])
         assert_allclose(rows[3:], [[4, 5], [5, 6], [6, 7]])
+
+    @pytest.mark.parametrize("shape, kernel", [
+        ((3, 2, 17), (4,)), ((2, 1, 6), (6,)),
+        ((2, 3, 9, 8), (3, 2)), ((2, 2, 7, 5), (7, 5))],
+        ids=["conv1d", "conv1d-whole-extent", "conv2d", "conv2d-whole-extent"])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("channels_last_memory", [False, True],
+                             ids=["contiguous", "channels-last"])
+    def test_window_view_matches_sliding_windows(self, shape, kernel, stride,
+                                                 channels_last_memory):
+        # the reference: every window at unit step, then every stride-th
+        x = _images(shape, 37, channels_last_memory)
+        axes = tuple(range(2, x.ndim))
+        ref = np.lib.stride_tricks.sliding_window_view(x, kernel, axis=axes)[
+            (slice(None),) * 2 + (slice(None, None, stride),) * len(kernel)]
+        view = layers_mod._windows(x, kernel, stride)
+        assert view.shape == ref.shape
+        assert np.array_equal(view, ref)
+        assert np.shares_memory(view, x) and not view.flags.writeable
+        assert layers_mod._windows(x, kernel, stride,
+                                   writeable=True).flags.writeable
 
 
 class TestForward:
@@ -509,6 +530,18 @@ class TestKeptInputs:
                                           + n * 6 * 5)
         self._same(kept, partly)
 
+    def test_kept_output_counted_against_the_budget(self):
+        # 784 -> 1000 -> output: at n = 2000 layer 0's 16 MB output fits the
+        # budget alone but not beside a 1001-row batch of the output layer,
+        # so it is replayed as at n = 2200, and the smaller fit holds no more
+        peaks = []
+        for n in (2000, 2200):
+            x = SeededRng(46).standard_normal((n, 784))
+            y = one_hot(np.arange(n) % 10)
+            peaks.append(_traced_peak(
+                lambda: fit_network(_dense_784_specs(), (x, y)))[1])
+        assert peaks[0] <= peaks[1] + 2**20
+
 
 class TestSpecValidation:
     def test_pool_rejects_target(self):
@@ -684,6 +717,58 @@ class TestBatchedInference:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) / peaks[0] < 0.05
+
+
+class TestBatchBoundaries:
+    """network_forward cuts its input where make_batches cuts it, and each
+    batch's rows are those the layers give that slice alone, bit for bit.
+    Against one batch of the whole input they agree to rounding only: a
+    batch of one row goes through numpy's matrix-vector product."""
+
+    NETS = {"dense": (_dense_net, (5, 6)), "conv": (_conv_net, (28, 28))}
+    SIZES = {"rows-1": lambda r: r - 1, "rows": lambda r: r,
+             "rows+1": lambda r: r + 1, "2rows+1": lambda r: 2 * r + 1}
+
+    @staticmethod
+    def _run(layers, x):
+        a = np.asarray(x, dtype=np.float64)
+        for tl in layers:
+            a = forward(tl, a)
+        return a
+
+    @pytest.mark.parametrize("net", sorted(NETS))
+    @pytest.mark.parametrize("pixels", [False, True], ids=["array", "pixels"])
+    @pytest.mark.parametrize("whole", [True, False], ids=["predict", "upto"])
+    @pytest.mark.parametrize("size", list(SIZES))
+    def test_batches_match_their_slices(self, monkeypatch, net, pixels,
+                                        whole, size):
+        make_net, image = self.NETS[net]
+        net = make_net()
+        layers = net.layers if whole else net.layers[:1]
+        rows = inference_batch_rows(layers, (1, *image))
+        n = self.SIZES[size](rows)
+        if pixels:
+            x = Pixels(np.random.default_rng(14).integers(
+                0, 256, size=(n, *image), dtype=np.uint8))
+        else:
+            x = SeededRng(15).standard_normal((n, 1, *image))
+        starts = range(0, n, rows)
+        sliced = np.concatenate([self._run(layers, x[s:s + rows])
+                                 for s in starts])
+        one = self._run(layers, x)
+        calls = _count_forwards(monkeypatch)
+        out = predict(net, x)[0] if whole else network_forward(net, x, upto=1)
+        assert calls[::len(layers)] == [min(rows, n - s) for s in starts]
+        assert np.array_equal(out, sliced)
+        assert out.strides == one.strides
+        assert np.max(np.abs(out - one)) <= 1e-12 * np.max(np.abs(one))
+
+    @pytest.mark.parametrize("x", [np.zeros(30), np.float64(1.0)],
+                             ids=["1-D", "0-D"])
+    def test_no_sample_axis_rejected_by_name(self, x):
+        with pytest.raises(ValueError,
+                           match="^input needs a leading sample axis$"):
+            predict(_dense_net(), x)
 
 
 class _BatchSeen(Exception):
