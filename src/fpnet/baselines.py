@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import accounting
 from .layers import fit_network
 from .linalg import SeededRng
 
@@ -46,6 +47,8 @@ def make_baseline_targets(kind, y, u, rng=None, n_rows=None):
     if n_rows % n:
         raise ValueError(f"y has {n} rows, the batch {n_rows}, not a multiple")
     ztil = y @ u
+    accounting.add_macs("target_gen",
+                        accounting.matmul_macs(n, y.shape[1], u.shape[1]))
     if n_rows != n:
         ztil = np.repeat(ztil, n_rows // n, axis=0)
     if kind.name == "noisy_label_projection":

@@ -355,8 +355,6 @@ def cmd_eval(args):
 
 def cmd_explain(args):
     net = load_network(args.checkpoint)
-    out_dir = args.out if args.out is not None else "fp_run"
-    os.makedirs(out_dir, exist_ok=True)
     imgs = Pixels(read_idx_images(args.input))
     if not (0 <= args.sample < len(imgs)):
         raise ConfigError(f"--sample {args.sample} out of range")
@@ -372,6 +370,8 @@ def cmd_explain(args):
     origin = input_origin(net.layers[:k], x.ndim - 2)
     emap = explain_layer(layer, a_prev, z, origin=origin, layer_index=k)
     upsample_to = x.shape[2:]
+    out_dir = args.out if args.out is not None else "fp_run"
+    os.makedirs(out_dir, exist_ok=True)  # a bad argument above writes nothing
     for c in range(net.label_dim):
         grid = render_map(emap, c, upsample_to)
         base = os.path.join(out_dir, f"map_layer{k}_class{c}")

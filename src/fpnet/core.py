@@ -195,11 +195,9 @@ class GramAccumulator:
         self.n_seen += a.shape[0]
         if self._ata is None and self.n_seen < self.in_dim:
             self.kept.append((a, z))
-            accounting.note_matrices(self)
             return
         self._fold()
         self._add(a, z)
-        accounting.note_matrices(self, a, z)
 
     def stacked(self):
         """The kept batches as one (rows, targets) pair, in arrival order."""
@@ -223,30 +221,23 @@ class GramAccumulator:
             self._add(*self.kept.pop(0))
 
 
-def _auto_tau(gram, tau):
-    """tau, or 1 / max|gram| when tau is left at 1 and an entry of ``gram``
-    exceeds RESCALE_THRESHOLD."""
-    if tau == 1.0:
-        peak = max(float(gram.max()), -float(gram.min()))
-        if peak > RESCALE_THRESHOLD:
-            return 1.0 / peak
-    return tau
-
-
 def ridge_solve(ata, atz, lam, tau=1.0, intercept=False):
-    """Solve (tau*ata + tau*lam*P) w = tau*atz for w.
+    """Solve (tau*ata + tau*lam*P) w = tau*atz for w; every closed-form fit
+    ends here, ``ata`` being a.T @ a or the dual's a @ a.T (``_dual_solve``).
 
     P is the identity, or with ``intercept`` the identity with its last
     diagonal entry zeroed, which leaves the last weight row (an intercept's)
-    unpenalised. When tau is left at 1 and any accumulator entry exceeds
-    RESCALE_THRESHOLD, both sides are automatically downscaled by the
-    largest entry; the solution is unchanged by construction. The solution
-    is C-contiguous.
+    unpenalised. When tau is left at 1 and an entry of ``ata`` exceeds
+    RESCALE_THRESHOLD, both sides are downscaled by the largest entry. The
+    arguments are not modified; the solution is C-contiguous.
     """
     ata = as_matrix(ata, "ata")
     atz = as_matrix(atz, "atz")
     n = ata.shape[0]
-    tau = _auto_tau(ata, tau)
+    if tau == 1.0:
+        peak = max(float(ata.max()), -float(ata.min()))
+        if peak > RESCALE_THRESHOLD:
+            tau = 1.0 / peak
     # the penalty only touches the diagonal, so no n x n copy of it is held
     # next to g and the C-ordered copy of w below
     g = tau * ata
@@ -265,10 +256,11 @@ def _dual_solve(a, z, lam, tau, intercept):
 
     w = a.T @ inv(a @ a.T + lam * I) @ z is the primal ridge solution
     (Woodbury identity), for n^2 d Gram MACs and an n x n solve instead of
-    n d^2 and a d x d one. tau and its auto-rescale act on a @ a.T as in
-    ``ridge_solve`` on a.T @ a. With ``intercept``, a's last column is an
-    unpenalised constant 1: rows and targets are centred, that column is
-    dropped, and its weight row is recovered as mean(z) - mean(a) @ w.
+    n d^2 and a d x d one. The n x n system goes through ``ridge_solve``,
+    so tau, its auto-rescale and the pivot checks act on a @ a.T as they
+    do on a.T @ a. With ``intercept``, a's last column is an unpenalised
+    constant 1: rows and targets are centred, that column is dropped, and
+    its weight row is recovered as mean(z) - mean(a) @ w.
     """
     if intercept:
         mean_a, mean_z = a[:, :-1].mean(axis=0), z.mean(axis=0)
@@ -276,17 +268,12 @@ def _dual_solve(a, z, lam, tau, intercept):
     n, d = a.shape
     k = z.shape[1]
     g = a @ a.T
-    tau = _auto_tau(g, tau)
-    if tau != 1.0:
-        g *= tau
-        z = tau * z
-    g[np.diag_indices(n)] += tau * lam
-    w = a.T @ spd_solve(g, z)
-    macs = accounting.cholesky_solve_macs(n, k) + accounting.matmul_macs(d, n, k)
+    accounting.add_macs("gram", accounting.matmul_macs(n, d, n))
+    w = a.T @ ridge_solve(g, z, lam, tau)
+    macs = accounting.matmul_macs(d, n, k)
     if intercept:
         w = np.vstack([w, mean_z - mean_a @ w])
         macs += accounting.matmul_macs(1, d, k)
-    accounting.add_macs("gram", accounting.matmul_macs(n, d, n))
     accounting.add_macs("solve", macs)
     accounting.note_matrices(a, z, g, w)
     return w

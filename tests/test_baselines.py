@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fpnet import accounting
 from fpnet.baselines import (BaselineKind, fit_baseline_network,
                              make_baseline_targets)
 from fpnet.core import RidgeConfig, TargetGenSpec
@@ -65,6 +66,20 @@ class TestTargets:
 
     def test_random_features_fit_nothing(self):
         assert make_baseline_targets(RF, np.eye(2), np.eye(2)) is None
+
+    def test_label_term_counted_as_target_gen(self):
+        # y @ u is counted once per sample, as in generate_targets, however
+        # many design rows repeat it; random features compute nothing
+        y = one_hot(np.array([0, 2, 1]))
+        u = SeededRng(3).standard_normal((3, 4))
+        noisy = BaselineKind("noisy_label_projection")
+        for kind, rng, macs in ((LP, None, 3 * 3 * 4),
+                                (noisy, SeededRng(0), 3 * 3 * 4),
+                                (RF, None, 0)):
+            with accounting.track() as ledger:
+                make_baseline_targets(kind, y, u, rng, n_rows=6)
+            assert ledger.macs == {**dict.fromkeys(accounting.PHASES, 0),
+                                   "target_gen": macs}
 
 
 class TestFitBaselineNetwork:

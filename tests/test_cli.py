@@ -373,6 +373,57 @@ class TestConfigValues:
         assert resolved["data"]["separation"] == 3.0
 
 
+# (subcommand, config overrides or the config file's raw text, extra flags,
+# what the error names); a None text leaves the config file unwritten
+_CONFIG_ERRORS = {
+    "unreadable config": ("train", None, [], "cannot read config"),
+    "invalid JSON": ("train", "{", [], "is not valid JSON"),
+    "not an object": ("train", "[1]", [], "must be a JSON object"),
+    "idx without train_images": (
+        "train", {"data": {"kind": "idx", "train_labels": "l"}}, [],
+        "idx data needs 'train_images'"),
+    "unknown data kind": ("train", {"data": {"kind": "csv"}}, [],
+                          "data.kind must be"),
+    "layer without kind": (
+        "train", {"architecture": [{"out_channels": 8}, {"kind": "output"}]},
+        [], "architecture[0] needs a 'kind'"),
+    "unknown layer kind": (
+        "train", {"architecture": [{"kind": "dense3"}, {"kind": "output"}]},
+        [], "unknown kind 'dense3'"),
+    "bad target_g": ("train", {"target_g": "relu"}, [],
+                     "target_g must be one of"),
+    "empty architecture": ("train", {"architecture": []}, [],
+                           "non-empty list"),
+    "output not last": (
+        "train", {"architecture": [{"kind": "output"},
+                                   {"kind": "dense", "out_channels": 4}]},
+        [], "exactly one output layer, last"),
+    "bench without test split": (
+        "bench", {"data": {"kind": "synthetic", "n": 240, "test_n": 0}}, [],
+        "bench needs a test split"),
+    "non-integer width": ("bottleneck-sweep", {}, ["--widths", "4,x"],
+                          "comma-separated integer list"),
+}
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("case", list(_CONFIG_ERRORS))
+    def test_usage_error_writes_nothing(self, tmp_path, capsys, case):
+        command, body, flags, names = _CONFIG_ERRORS[case]
+        cfg = tmp_path / "cfg.json"
+        if isinstance(body, dict):
+            _write_config(cfg, **body)
+        elif body is not None:
+            cfg.write_text(body)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out),
+                     *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and names in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestEval:
     def test_scores_checkpoint(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "cfg.json")
@@ -508,6 +559,21 @@ class TestExplain:
         assert main(["explain", "--checkpoint", str(out / "model.fpk"),
                      "--input", str(img), "--layer", "0", "--sample", "999",
                      "--out", str(tmp_path / "m")]) == 2
+
+    @pytest.mark.parametrize("layer, missing_input", [
+        ("7", False), ("2", False), ("0", True)],
+        ids=["layer out of range", "output layer", "missing input"])
+    def test_bad_argument_writes_nothing(self, tmp_path, capsys, layer,
+                                         missing_input):
+        out, img = self._train_conv(tmp_path)
+        if missing_input:
+            img = tmp_path / "missing"
+        maps = tmp_path / "maps"
+        assert main(["explain", "--checkpoint", str(out / "model.fpk"),
+                     "--input", str(img), "--layer", layer,
+                     "--out", str(maps)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not maps.exists()
 
     @pytest.mark.parametrize("key, value", [
         (("layers", 0, "stride"), 2.0),

@@ -100,6 +100,33 @@ class TestLoadIdx:
         assert back.x[1:4].tobytes() == ds.x[1:4].tobytes()
         assert back.y.tobytes() == ds.y.tobytes()
 
+    @pytest.mark.parametrize("channel_axis", [True, False],
+                             ids=["(N, 1, r, c)", "(N, r, c)"])
+    def test_write_float_pixels_round_trip(self, tmp_path, channel_axis):
+        # floats k / 255 are written as the bytes k, the file they came from
+        raw = _random_pixels(6, 5)
+        img, lab = _idx_pair(tmp_path, raw, classes=3)
+        x = raw / 255.0
+        ds = Dataset(x[:, None] if channel_axis else x,
+                     one_hot(np.arange(6) % 3), ["0", "1", "2"])
+        img2, lab2 = tmp_path / "img2", tmp_path / "lab2"
+        write_idx(ds, img2, lab2)
+        assert img2.read_bytes() == img.read_bytes()
+        assert lab2.read_bytes() == lab.read_bytes()
+
+    @pytest.mark.parametrize("shape, pixel, value, match", [
+        ((2, 1, 3, 3), (0, 0, 1, 1), 1.5, "byte range"),
+        ((2, 3, 3), (1, 2, 0), -0.5, "byte range"),
+        ((2, 3, 3, 3), (0, 0, 0, 0), 0.5, "single-channel"),
+    ], ids=["above 1", "below 0", "3 channels"])
+    def test_write_float_pixels_rejected(self, tmp_path, shape, pixel, value,
+                                         match):
+        x = np.full(shape, 0.5)
+        x[pixel] = value
+        ds = Dataset(x, one_hot(np.array([0, 1])), ["0", "1"])
+        with pytest.raises(ValueError, match=match):
+            write_idx(ds, tmp_path / "img", tmp_path / "lab")
+
     def test_write_back_loaded_pixels_as_bytes(self, tmp_path):
         # Pixels are written as the bytes they hold, with no float64 copy
         img, lab = _idx_pair(tmp_path, _random_pixels(2000, 4))

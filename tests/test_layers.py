@@ -6,12 +6,12 @@ from numpy.testing import assert_allclose
 
 import fpnet.baselines as baselines_mod
 import fpnet.layers as layers_mod
-from fpnet import accounting
+from fpnet import accounting, linalg
 from fpnet.baselines import (BaselineKind, fit_baseline_network,
                              make_baseline_targets)
 from fpnet.core import (RidgeConfig, TargetGenSpec, generate_targets,
                         ridge_solve)
-from fpnet.data import Dataset, Pixels, one_hot
+from fpnet.data import Dataset, Pixels, one_hot, synthetic_gaussian_task
 from fpnet.layers import (INFERENCE_BUDGET_BYTES, IterativeConfig, LayerSpec,
                           Network, TrainedLayer, activate, extract_windows,
                           fit_layer, fit_network, forward,
@@ -984,6 +984,55 @@ class TestLiveSetWithinBudget:
         (scores, labels), peak = _traced_peak(lambda: predict(net, x))
         assert peak < (1.15 * INFERENCE_BUDGET_BYTES + scores.nbytes
                        + labels.nbytes)
+
+
+class TestUnboundBlas:
+    """With every OpenBLAS binding unbound, as on a numpy without the
+    scipy_-prefixed symbols, fits and predictions run on numpy alone and
+    agree with the bound run to rounding."""
+
+    BINDINGS = ("_DSYRK", "_DGEMM", "_DTRSM", "_DPOTRF")
+    # (specs, data, n x n dual solves in one fit)
+    CASES = {
+        # 300 rows of 16 inputs: every layer solves the d x d primal system
+        "dense primal": lambda: (
+            [_dense_spec(24, "relu", "sign"), LayerSpec("output")],
+            synthetic_gaussian_task(300, 16, 3, 3.0, SeededRng(40)), 0),
+        # 20 rows of 40 inputs, 48 units: every layer solves the n x n dual
+        "few-row dual": lambda: (
+            [_dense_spec(48, "relu", "sign"), LayerSpec("output")],
+            synthetic_gaussian_task(20, 40, 4, 3.0, SeededRng(41)), 2),
+        "conv stack": lambda: (
+            [LayerSpec("conv2d", 4, (3, 3), 1, "relu",
+                       TargetGenSpec(q_seed=1, u_seed=2)),
+             LayerSpec("conv2d", 6, (3, 3), 2, "relu",
+                       TargetGenSpec(q_seed=3, u_seed=4)),
+             LayerSpec("global_avg_pool"), LayerSpec("output")],
+            Dataset(SeededRng(42).standard_normal((24, 1, 10, 10)),
+                    one_hot(np.arange(24) % 3), ["0", "1", "2"]), 0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_bound_run(self, monkeypatch, case):
+        if all(getattr(linalg, name) is None for name in self.BINDINGS):
+            pytest.skip("numpy bundles none of the OpenBLAS bindings")
+        import fpnet.core as core
+        dual_calls = []
+        solve = core._dual_solve
+        monkeypatch.setattr(core, "_dual_solve",
+                            lambda *a: dual_calls.append(1) or solve(*a))
+        specs, data, duals = self.CASES[case]()
+        bound = fit_network(specs, data, batch_size=64)
+        bound_labels = predict(bound, data.x)[1]
+        for name in self.BINDINGS:
+            monkeypatch.setattr(linalg, name, None)
+        unbound = fit_network(specs, data, batch_size=64)
+        assert len(dual_calls) == 2 * duals
+        for b, u in zip(bound.layers, unbound.layers):
+            if b.w is not None:
+                assert (np.linalg.norm(u.w - b.w)
+                        <= 1e-10 * np.linalg.norm(b.w))
+        assert np.array_equal(predict(unbound, data.x)[1], bound_labels)
 
 
 def _channel_major_to_last(rows, channels):
