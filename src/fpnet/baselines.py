@@ -54,7 +54,7 @@ def make_baseline_targets(kind, y, u, rng=None, n_rows=None):
     if kind.name == "noisy_label_projection":
         if rng is None:
             raise ValueError("noisy_label_projection needs an rng")
-        ztil = ztil + rng.normal(ztil.shape, kind.noise_sigma)
+        ztil += rng.normal(ztil.shape, kind.noise_sigma)
     return ztil
 
 

@@ -29,7 +29,8 @@ from .bench import (METHODS, bottleneck_sweep, derive_layer_seeds,
 from .checkpoint import load_network, save_network
 from .core import (HIDDEN_LAMBDA, OUTPUT_LAMBDA, RidgeConfig, TargetGenSpec,
                    TARGET_NONLINEARITIES)
-from .data import Pixels, load_idx, read_idx_images, synthetic_gaussian_task
+from .data import (Pixels, few_shot_subsample, load_idx, read_idx_images,
+                   synthetic_gaussian_task)
 from .errors import (CheckpointFormatError, ConfigError, DataConsistencyError,
                      DivergenceError, IdxFormatError,
                      NotPositiveDefiniteError, RankDeficientError,
@@ -305,14 +306,17 @@ def _require_config(args, reads=TOP_KEYS):
     return resolve_config(_load_config(args.config), args, reads)
 
 
-def _open_run(resolved, needs_test=None, n_classes=None):
+def _open_run(resolved, needs_test=None, n_classes=None, shots=None):
     """(train, test, out_dir): the configured splits, then the output
     directory made, so a failure to load data writes nothing.
     ``needs_test`` names a subcommand that needs a test split;
-    ``n_classes`` is as in ``build_datasets``."""
+    ``n_classes`` is as in ``build_datasets``; ``shots`` samples of every
+    class must be in the training split."""
     train, test = build_datasets(resolved["data"], n_classes)
     if needs_test and test is None:
         raise ConfigError(f"{needs_test} needs a test split")
+    if shots:  # raises as the sweep's own subsample would
+        few_shot_subsample(train, shots, SeededRng(0))
     os.makedirs(resolved["out"], exist_ok=True)
     return train, test, resolved["out"]
 
@@ -395,21 +399,23 @@ def cmd_bench(args):
     return 0
 
 
-def _int_list(text, flag, minimum=1):
+def _int_list(text, flag, minimum=1, empty=False):
     """The integers of ``flag``'s comma-separated ``text``, each at least
-    ``minimum``."""
+    ``minimum``; none at all only if ``empty``."""
     try:
         values = [int(v) for v in text.split(",") if v]
     except ValueError as e:
         raise ConfigError(f"{flag} expects a comma-separated integer list, "
                           f"got {text!r}") from e
+    if not (values or empty):
+        raise ConfigError(f"{flag} needs at least one entry, got {text!r}")
     return tuple(_number(v, int, f"{flag} entries", minimum) for v in values)
 
 
 def cmd_bottleneck_sweep(args):
     resolved, _, _ = _require_config(args, SWEEP_READS)
     widths = _int_list(args.widths, "--widths")
-    base_widths = _int_list(args.base_widths, "--base-widths")
+    base_widths = _int_list(args.base_widths, "--base-widths", empty=True)
     train, test, out_dir = _open_run(resolved, needs_test="bottleneck-sweep")
     rows = bottleneck_sweep(train, test, widths=widths, base_widths=base_widths,
                             activation=args.activation,
@@ -425,8 +431,9 @@ def cmd_fewshot_sweep(args):
     resolved, _, _ = _require_config(args, SWEEP_READS)
     shots = _int_list(args.shots, "--shots")
     seeds = _int_list(args.seeds, "--seeds", minimum=0)
-    hidden = _int_list(args.hidden, "--hidden")
-    train, test, out_dir = _open_run(resolved, needs_test="fewshot-sweep")
+    hidden = _int_list(args.hidden, "--hidden", empty=True)
+    train, test, out_dir = _open_run(resolved, needs_test="fewshot-sweep",
+                                     shots=max(shots))
     rows = fewshot_sweep(train, test, shots=shots, seeds=seeds, hidden=hidden,
                          activation=args.activation, g=resolved["target_g"],
                          batch_size=resolved["batch_size"],

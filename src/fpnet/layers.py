@@ -273,8 +273,7 @@ def _blocks(spec, x):
     each, and at least one sample. Every other layer, and input that
     ``_rows`` will reject, takes all of ``x`` as one block (``...``).
     """
-    walk = (_shape_walk([(spec, None, 1)], x.shape[1:])
-            if spec.kind in CONV_DIMS else None)
+    walk = spec.kind in CONV_DIMS and _shape_walk([spec], x.shape[1:])
     if walk:
         (width, _, shape), = walk  # a sample's rows: one per output position
         sample = 8 * width * math.prod(shape[1:])
@@ -539,16 +538,17 @@ def fit_network(specs, dataset, mode="closed_form", batch_size=256,
                          f"{len(specs)} layers")
     iterative = _is_iterative(mode)
     x, y, class_names = _dataset_xy(dataset)
-    walk = _shape_walk(_fit_steps(specs, y.shape[1]), x.shape[1:])
-    widths = _sample_widths(walk)
+    walk = _shape_walk(specs, x.shape[1:], y.shape[1])
     if iterative:
         batch_size = mode.batch
-    elif widths is not None:
-        live, widest, gram = widths
+    elif walk is not None:  # the output layer has weights, so it is sized
         # design rows grown no larger than the Gram sums, which do not grow
         # with n, and never a live set past the working-set budget
+        gram = max(width for width, _, _ in walk)
+        widest = max(max(width, shape[0]) * math.prod(shape[1:])
+                     for width, _, shape in walk if width)
         batch_size = min(max(batch_size, gram * gram // widest),
-                         _budget_rows(live))
+                         _budget_rows(walk))
     source, prefix = make_batches(x, y, batch_size), []
     if not class_names:
         class_names = [str(i) for i in range(y.shape[1])]
@@ -591,13 +591,6 @@ def _kept(stream):
     return _stream_factory(list(stream()))
 
 
-def _fit_steps(specs, label_dim):
-    """``_shape_walk`` steps for fitting ``specs``: input widths taken from
-    the shapes, output widths from the specs and the labels."""
-    return [(s, None, label_dim if s.kind == "output" else s.out_channels)
-            for s in specs]
-
-
 def draw_projections(specs, sample_shape, label_dim):
     """The (q, u) pair of each layer of ``specs``, None for pooling and
     output layers, drawn exactly as ``fit_layer`` draws them for input
@@ -606,7 +599,7 @@ def draw_projections(specs, sample_shape, label_dim):
     The arrays are read-only, so that no fit sharing them can change them.
     """
     specs = list(specs)
-    walk = _shape_walk(_fit_steps(specs, label_dim), sample_shape)
+    walk = _shape_walk(specs, sample_shape, label_dim)
     if walk is None:
         raise ValueError(f"layers do not chain from samples shaped "
                          f"{tuple(sample_shape)}")
@@ -618,28 +611,39 @@ def draw_projections(specs, sample_shape, label_dim):
     return drawn
 
 
-def _shape_walk(steps, sample_shape):
-    """One sample shaped ``sample_shape`` walked through ``steps``.
+def _shape_walk(layers, sample_shape, label_dim=None):
+    """One sample shaped ``sample_shape`` walked through ``layers``, the
+    specs of a fit or the trained layers of a prediction: the one walk that
+    sizes fits, predictions and conv blocks (``_budget_rows``,
+    ``fit_network``, ``_blocks``).
 
-    steps : (spec, in_width, out_width) per layer, the widths those of the
-        layer's weight matrix; an in_width of None is taken from the shape
-        that reaches the layer. Pooling layers ignore both widths.
+    A spec's rows are as wide as the shapes make them, and its output has
+    ``out_channels`` channels (``label_dim`` for the output layer). A
+    trained layer's ``w`` must fit the shapes: its rows are the design
+    rows' width (an output layer's take no intercept column if they match
+    its input), its columns the output channels.
 
-    Returns one (width, built, shape) per step: the width of the layer's
+    Returns one (width, built, shape) per layer: the width of the layer's
     design rows, also the side of the Gram matrix its fit accumulates (0 for
     pooling); the floats the sample holds at once while the step runs, that
     is its input, what the step builds from it and its output; and the
-    shape of its output. A conv layer builds its window matrix; a dense or
-    output layer builds a copy of its rows when it adds an intercept column
-    or flattens a conv layer's output, which lies channels-last in memory.
-    None when the shapes do not chain.
-
-    A conv step is counted with its whole window matrix, an upper bound
-    where it is built a block at a time (``_blocks``).
+    shape of its output. A conv layer builds its window matrix, counted
+    whole though ``_blocks`` builds it a block at a time; a dense or output
+    layer builds a copy of its rows when it adds an intercept column or
+    flattens a conv layer's output, which lies channels-last in memory.
+    None when the shapes do not chain, or a weighted trained layer has no
+    2-D ``w``.
     """
     shape, walk, from_conv = tuple(sample_shape), [], False
-    for spec, w_in, w_out in steps:
+    for layer in layers:
+        spec = getattr(layer, "spec", layer)  # a TrainedLayer, or a spec
         kind, n_in = spec.kind, math.prod(shape)
+        w_in, w_out = None, (label_dim if kind == "output"
+                             else spec.out_channels)
+        if spec is not layer and kind != "global_avg_pool":
+            if not (isinstance(layer.w, np.ndarray) and layer.w.ndim == 2):
+                return None
+            w_in, w_out = layer.w.shape
         if kind == "global_avg_pool":
             if len(shape) < 2:
                 return None
@@ -668,44 +672,25 @@ def _shape_walk(steps, sample_shape):
     return walk
 
 
-def _sample_widths(walk):
-    """(live, widest, gram) of a ``_shape_walk``: the most floats one sample
-    holds in any step, the floats of the widest design rows or output of a
-    weighted layer, and the side of the largest Gram matrix; None when the
-    walk is None or no layer has weights."""
-    weighted = [(width, shape) for width, _, shape in walk or () if width]
-    if not weighted:
+def _budget_rows(walk):
+    """Rows per batch whose live set in every step of the ``_shape_walk``
+    ``walk`` fits INFERENCE_BUDGET_BYTES, at least 1; None when the walk is
+    None or no layer has weights."""
+    if not any(width for width, _, _ in walk or ()):
         return None
-    return (max(built for _, built, _ in walk),
-            max(max(width, shape[0]) * math.prod(shape[1:])
-                for width, shape in weighted),
-            max(width for width, _ in weighted))
-
-
-def _budget_rows(live):
-    """Rows whose ``live`` floats per row fit INFERENCE_BUDGET_BYTES, at
-    least 1."""
-    return max(1, INFERENCE_BUDGET_BYTES // (8 * live))
+    return max(1, INFERENCE_BUDGET_BYTES
+               // (8 * max(built for _, built, _ in walk)))
 
 
 def inference_batch_rows(layers, sample_shape):
     """Rows per batch that keep inference through ``layers`` within
     INFERENCE_BUDGET_BYTES, at least 1: the budget over what one sample
     shaped ``sample_shape`` holds at once in the step that holds the most
-    (``_shape_walk``). That is 34 images on the 28x28 conv benchmark net and
-    1042 rows on a 784 -> 1000 x 3 MLP of 10 classes. None when a layer
-    cannot be sized (no weights, or shapes that do not chain).
+    (``_shape_walk``, ``_budget_rows``). That is 34 images on the 28x28 conv
+    benchmark net and 1042 rows on a 784 -> 1000 x 3 MLP of 10 classes. None
+    when a layer cannot be sized (no weights, or shapes that do not chain).
     """
-    steps = []
-    for tl in layers:
-        if tl.spec.kind == "global_avg_pool":
-            steps.append((tl.spec, None, None))
-        elif isinstance(tl.w, np.ndarray) and tl.w.ndim == 2:
-            steps.append((tl.spec, *tl.w.shape))
-        else:
-            return None
-    widths = _sample_widths(_shape_walk(steps, sample_shape))
-    return None if widths is None else _budget_rows(widths[0])
+    return _budget_rows(_shape_walk(layers, sample_shape))
 
 
 def network_forward(net, x, upto=None):

@@ -424,6 +424,38 @@ class TestConfigErrors:
         assert not out.exists()
 
 
+class TestSweepArguments:
+    # 200 rows in 3 classes: the smallest class holds 66 or 67 samples
+    DATA = {"kind": "synthetic", "n": 200, "test_n": 100, "dim": 8,
+            "classes": 3}
+
+    @pytest.mark.parametrize("argv, names", [
+        (["fewshot-sweep", "--shots", ","], "--shots needs at least one"),
+        (["fewshot-sweep", "--seeds", ""], "--seeds needs at least one"),
+        (["bottleneck-sweep", "--widths", ""], "--widths needs at least one"),
+        (["fewshot-sweep", "--shots", "5,500"], "samples, need 500")],
+        ids=["no shots", "no seeds", "no widths", "shots past a class"])
+    def test_rejected_before_anything_is_written(self, tmp_path, capsys,
+                                                 argv, names):
+        cfg = _write_config(tmp_path / "cfg.json", data=self.DATA)
+        out = tmp_path / "o"
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and names in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, rows", [
+        (["fewshot-sweep", "--shots", "5", "--seeds", "0", "--hidden", ""], 1),
+        (["bottleneck-sweep", "--widths", "4", "--base-widths", ""], 4)],
+        ids=["no hidden layers", "no base layers"])
+    def test_empty_layer_lists_still_run(self, tmp_path, argv, rows):
+        cfg = _write_config(tmp_path / "cfg.json", data=self.DATA)
+        out = tmp_path / "o"
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+        (csv,) = out.iterdir()
+        assert len(csv.read_text().splitlines()) == rows + 1
+
+
 class TestEval:
     def test_scores_checkpoint(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "cfg.json")

@@ -438,3 +438,27 @@ class TestGramAccumulatorInPlace:
     def test_non_conforming_sums_rejected(self, ata, atz):
         with pytest.raises(ValueError, match="do not conform"):
             linalg.add_gram(ata, atz, np.ones((5, 3)), np.ones((5, 2)))
+
+
+# raises that no other test reaches: (call, exception type, message match)
+_CORE_RAISES = {
+    "alpha not finite": (lambda: TargetGenSpec(alpha=float("inf")),
+                         ValueError, "alpha must be finite"),
+    "q rows": (lambda: generate_targets(np.ones((4, 3)), np.eye(2)[[0, 1] * 2],
+                                        np.ones((5, 6)), np.ones((2, 6)),
+                                        TargetGenSpec()),
+               ValueError, "q expects 5 inputs, a_prev has 3"),
+    "u rows": (lambda: generate_targets(np.ones((4, 3)), np.eye(2)[[0, 1] * 2],
+                                        np.ones((3, 6)), np.ones((3, 6)),
+                                        TargetGenSpec()),
+               ValueError, "u expects 3 label dims, y has 2"),
+    "empty accumulator": (lambda: GramAccumulator(0, 3), ValueError,
+                          "accumulator dimensions must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CORE_RAISES))
+def test_bad_arguments_raise(case):
+    call, error, match = _CORE_RAISES[case]
+    with pytest.raises(error, match=match):
+        call()

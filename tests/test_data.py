@@ -6,8 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fpnet.core import RidgeConfig, TargetGenSpec
-from fpnet.data import (PIXEL_SCALE, Dataset, few_shot_subsample, load_idx,
-                        one_hot, read_idx_images, read_idx_labels,
+from fpnet.data import (PIXEL_SCALE, Dataset, Pixels, few_shot_subsample,
+                        load_idx, one_hot, read_idx_images, read_idx_labels,
                         synthetic_gaussian_task, write_idx)
 from fpnet.errors import DataConsistencyError, IdxFormatError
 from fpnet.layers import LayerSpec, fit_network, predict
@@ -421,3 +421,45 @@ class TestImageCorpus:
         assert test.x.shape == (10000, 1, 28, 28)
         x = np.asarray(train.x)
         assert float(x.min()) >= 0.0 and float(x.max()) <= 1.0
+
+
+# raises that no other test reaches: (call on a temporary directory,
+# exception type, message match)
+_DATA_RAISES = {
+    "pixels without a copy": (
+        # what np.asarray(pixels, copy=False) calls on numpy >= 2
+        lambda tmp: Pixels(_random_pixels(2, 0)).__array__(copy=False),
+        ValueError, "only by copying"),
+    "one-dimensional x": (
+        lambda tmp: Dataset(np.zeros(3), np.eye(3), ["a", "b", "c"]),
+        ValueError, "leading sample axis plus features"),
+    "labels not aligned": (
+        lambda tmp: Dataset(np.zeros((3, 2)), np.eye(2), ["a", "b"]),
+        ValueError, "aligned with x"),
+    "class names short": (
+        lambda tmp: Dataset(np.zeros((2, 2)), np.eye(2), ["a"]),
+        ValueError, "one class name per label column"),
+    "two-dimensional labels": (lambda tmp: one_hot([[0, 1]]), ValueError,
+                               "labels must be 1-D"),
+    "no labels": (lambda tmp: one_hot([]), ValueError,
+                  "need at least one class"),
+    "label past the classes": (lambda tmp: one_hot([0, 2], 2), ValueError,
+                               r"label outside \[0, n_classes\)"),
+    "empty idx files": (
+        lambda tmp: load_idx(*_idx_pair(tmp, _random_pixels(0, 0))),
+        DataConsistencyError, "^empty dataset$"),
+    "no shots": (
+        lambda tmp: few_shot_subsample(
+            Dataset(np.zeros((2, 2)), np.eye(2), ["a", "b"]), 0, SeededRng(0)),
+        ValueError, "n_per_class must be >= 1"),
+    "fewer samples than classes": (
+        lambda tmp: synthetic_gaussian_task(2, 4, 3, 1.0, SeededRng(0)),
+        ValueError, "need n >= classes >= 1 and dim >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(_DATA_RAISES))
+def test_bad_arguments_raise(tmp_path, case):
+    call, error, match = _DATA_RAISES[case]
+    with pytest.raises(error, match=match):
+        call(tmp_path)

@@ -473,3 +473,30 @@ class TestWriters:
         path = tmp_path / "flat.pgm"
         write_map_pgm(np.full((1, 3), 7.0), path)
         assert path.read_bytes().endswith(b"\x00\x00\x00")
+
+
+# raises that no other test reaches: (call, exception type, message match)
+_EXPLAIN_RAISES = {
+    "no projections": (
+        lambda: explain_layer(TrainedLayer(_dense_layer(4, 3, 2).spec),
+                              np.ones((2, 4)), np.ones((2, 3))),
+        ValueError, "missing its target projections"),
+    "potentials misshaped": (
+        lambda: explain_layer(_dense_layer(4, 3, 2), np.ones((2, 4)),
+                              np.ones((2, 5))),
+        ValueError, r"potentials shaped \(2, 5\), expected \(2, 3\)"),
+    "empty target grid": (
+        lambda: render_map(ExplanationMap(0, np.ones((1, 2, 2, 3))), 0,
+                           (0, 4)),
+        ValueError, "upsample dimensions must be positive"),
+    "target grid rank": (
+        lambda: render_map(ExplanationMap(0, np.ones((1, 2, 2, 3))), 0, (4,)),
+        ValueError, "map has 2 spatial axes, target has 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(_EXPLAIN_RAISES))
+def test_bad_arguments_raise(case):
+    call, error, match = _EXPLAIN_RAISES[case]
+    with pytest.raises(error, match=match):
+        call()

@@ -623,6 +623,21 @@ class TestBatchedInference:
         assert inference_batch_rows(_dense_net().layers, (30,)) == (
             INFERENCE_BUDGET_BYTES // (8 * (40 + 41 + 5)))
 
+    @pytest.mark.parametrize("specs, sample, rows", [
+        (_conv_specs(), (1, 28, 28), 34),
+        ([_dense_spec(1000), LayerSpec("output")], (784,), 1042)],
+        ids=["conv", "dense"])
+    def test_spec_walk_sizes_as_trained_walk(self, specs, sample, rows):
+        # a fit sizes its batches from the specs before any layer has
+        # weights; predict sizes them from the fitted layers
+        x = SeededRng(41).standard_normal((30, *sample))
+        y = one_hot(np.arange(30) % 10)
+        net = fit_network(specs, (x, y))
+        walk = layers_mod._shape_walk(specs, sample, label_dim=10)
+        assert layers_mod._shape_walk(net.layers, sample) == walk
+        assert inference_batch_rows(net.layers, sample) == rows
+        assert layers_mod._budget_rows(walk) == rows
+
     def test_unsizable_layers_give_none(self):
         conv = _conv_net().layers
         assert inference_batch_rows(conv, (2, 28, 28)) is None  # channels
@@ -1334,3 +1349,49 @@ class TestImageBenchmarkLayer:
             num += float(np.sum((z - ztil) ** 2))
             den += float(np.sum(ztil ** 2))
         assert np.sqrt(num / den) < 1.0
+
+
+def _one_batch():
+    return [(np.ones((4, 3)), np.eye(2)[[0, 1, 0, 1]])]
+
+
+# raises that no other test reaches: (call, exception type, message match)
+_LAYERS_RAISES = {
+    "zero kernel": (lambda: LayerSpec("conv2d", 4, (0, 3)), ValueError,
+                    r"kernel entries must be >= 1, got \(0, 3\)"),
+    "output not last": (
+        lambda: Network([TrainedLayer(LayerSpec("output")),
+                         TrainedLayer(_dense_spec(4))], 2, ["a", "b"]),
+        ValueError, "exactly one output layer, last"),
+    "zero stride": (
+        lambda: extract_windows(np.zeros((1, 1, 4, 4)), (2, 2), stride=0),
+        ValueError, "stride must be >= 1, got 0"),
+    "windows without channels": (
+        lambda: extract_windows(np.zeros((1, 4, 4)), (2, 2)),
+        ValueError, "one spatial axis per kernel length"),
+    "pooling flat input": (
+        lambda: forward(TrainedLayer(LayerSpec("global_avg_pool")),
+                        np.zeros((2, 3))),
+        ValueError, r"pooling expects \(N, C, \*spatial\) input"),
+    "no target spec": (
+        lambda: fit_layer(LayerSpec("dense", 4), _one_batch()),
+        ValueError, "dense layer has no target generation spec"),
+    "unknown mode": (
+        lambda: fit_layer(_dense_spec(4), _one_batch(), mode="newton"),
+        ValueError, "unknown mode 'newton'"),
+    "fit pooling": (
+        lambda: fit_layer(LayerSpec("global_avg_pool"), _one_batch()),
+        ValueError, "fit_layer handles trainable and output layers"),
+    "zero batch": (lambda: make_batches(np.ones((3, 2)), np.ones((3, 2)), 0),
+                   ValueError, "batch_size must be >= 1"),
+    "labels short": (
+        lambda: make_batches(np.ones((3, 2)), np.ones((2, 2)), 1),
+        ValueError, "x and y disagree on sample count"),
+}
+
+
+@pytest.mark.parametrize("case", list(_LAYERS_RAISES))
+def test_bad_arguments_raise(case):
+    call, error, match = _LAYERS_RAISES[case]
+    with pytest.raises(error, match=match):
+        call()

@@ -381,3 +381,20 @@ class TestSpdSolveDpotrf:
         # the strict upper triangle is g's, untouched
         upper = np.triu_indices(250, 1)
         assert np.array_equal(factor[upper], g[upper])
+
+
+# raises that no other test reaches: (call, exception type, message match)
+_LINALG_RAISES = {
+    "zero sigma": (lambda: SeededRng(0).normal((2,), 0.0), ValueError,
+                   "sigma must be positive"),
+    "draw past the pool": (
+        lambda: SeededRng(0).subset_without_replacement(np.arange(3), 4),
+        ValueError, "cannot draw 4 from pool of 3"),
+}
+
+
+@pytest.mark.parametrize("case", list(_LINALG_RAISES))
+def test_bad_arguments_raise(case):
+    call, error, match = _LINALG_RAISES[case]
+    with pytest.raises(error, match=match):
+        call()

@@ -187,3 +187,24 @@ class TestMacroReport:
         parts = row.split(",")
         assert parts[0] == "60" and parts[1] == "3"
         assert float(parts[2]) == rep.accuracy
+
+
+# raises that no other test reaches: (call, exception type, message match)
+_METRICS_RAISES = {
+    "lengths differ": (lambda: roc_auc([0.1, 0.2], [1]), ValueError,
+                       "scores and labels must have equal length"),
+    "empty": (lambda: roc_auc([], []), ValueError, "^empty inputs$"),
+    "labels not binary": (lambda: average_precision([0.1, 0.2], [0, 2]),
+                          ValueError, "labels must be binary 0/1"),
+    "sample counts differ": (lambda: accuracy(np.zeros((2, 3)), [0, 1, 2]),
+                             ValueError, "disagree on sample count"),
+    "classes differ": (lambda: metric_report(np.zeros((2, 3)), np.eye(2)),
+                       ValueError, r"one-hot y must share an \(n, k\) shape"),
+}
+
+
+@pytest.mark.parametrize("case", list(_METRICS_RAISES))
+def test_bad_arguments_raise(case):
+    call, error, match = _METRICS_RAISES[case]
+    with pytest.raises(error, match=match):
+        call()
