@@ -399,23 +399,29 @@ def cmd_bench(args):
     return 0
 
 
-def _int_list(text, flag, minimum=1, empty=False):
+def _int_list(text, flag, minimum=1, layers=False):
     """The integers of ``flag``'s comma-separated ``text``, each at least
-    ``minimum``; none at all only if ``empty``."""
+    ``minimum``. A list of sweep cells needs at least one entry and no
+    repeat, which would fit the same cell again; a list of ``layers``'
+    widths may be empty, and a repeat is two layers of one width."""
     try:
         values = [int(v) for v in text.split(",") if v]
     except ValueError as e:
         raise ConfigError(f"{flag} expects a comma-separated integer list, "
                           f"got {text!r}") from e
-    if not (values or empty):
+    if not (values or layers):
         raise ConfigError(f"{flag} needs at least one entry, got {text!r}")
-    return tuple(_number(v, int, f"{flag} entries", minimum) for v in values)
+    values = tuple(_number(v, int, f"{flag} entries", minimum) for v in values)
+    for i, v in enumerate(values):
+        if not layers and v in values[:i]:
+            raise ConfigError(f"{flag} lists {v} more than once")
+    return values
 
 
 def cmd_bottleneck_sweep(args):
     resolved, _, _ = _require_config(args, SWEEP_READS)
     widths = _int_list(args.widths, "--widths")
-    base_widths = _int_list(args.base_widths, "--base-widths", empty=True)
+    base_widths = _int_list(args.base_widths, "--base-widths", layers=True)
     train, test, out_dir = _open_run(resolved, needs_test="bottleneck-sweep")
     rows = bottleneck_sweep(train, test, widths=widths, base_widths=base_widths,
                             activation=args.activation,
@@ -431,7 +437,7 @@ def cmd_fewshot_sweep(args):
     resolved, _, _ = _require_config(args, SWEEP_READS)
     shots = _int_list(args.shots, "--shots")
     seeds = _int_list(args.seeds, "--seeds", minimum=0)
-    hidden = _int_list(args.hidden, "--hidden", empty=True)
+    hidden = _int_list(args.hidden, "--hidden", layers=True)
     train, test, out_dir = _open_run(resolved, needs_test="fewshot-sweep",
                                      shots=max(shots))
     rows = fewshot_sweep(train, test, shots=shots, seeds=seeds, hidden=hidden,

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import accounting
 from .errors import DivergenceError
-from .linalg import (activate, add_gram, as_matrix, ensure_finite,
-                     mirror_upper, spd_solve)
+from .linalg import (SIGN_BLOCK_FLOATS, _spd_solve_owned, activate,
+                     add_gram, as_matrix, ensure_finite, mirror_upper)
 
 TARGET_NONLINEARITIES = ("sign", "identity", "tanh")
 
@@ -117,11 +117,17 @@ def generate_targets(a_prev, y, q, u, spec):
         raise ValueError(
             f"q and u disagree on output width: {q.shape[1]} vs {u.shape[1]}")
     m_out = q.shape[1]
-    # both products are fresh, so g and the sums overwrite them: one
-    # (N, m_out) temporary besides the result, with the same values
+    # a_prev @ q is fresh, so g and the label term overwrite it; the label
+    # term is added a chunk of samples at a time, so besides the result
+    # only one chunk of at most SIGN_BLOCK_FLOATS floats is held, not an
+    # (N, m_out) product; with one-hot labels each chunk's product is exact,
+    # so the values are those of the whole product
     ztil = activate(spec.g, a_prev @ q, in_place=True)
     per_sample = ztil.reshape(n, b // n, m_out)  # a view: ztil is C-ordered
-    per_sample += activate(spec.g, y @ u, in_place=True)[:, None]
+    step = max(1, SIGN_BLOCK_FLOATS // m_out)
+    for i in range(0, n, step):
+        per_sample[i:i + step] += activate(spec.g, y[i:i + step] @ u,
+                                           in_place=True)[:, None]
     if spec.alpha != 0.0:
         ztil += spec.alpha
     accounting.add_macs("target_gen",
@@ -239,13 +245,15 @@ def ridge_solve(ata, atz, lam, tau=1.0, intercept=False):
         if peak > RESCALE_THRESHOLD:
             tau = 1.0 / peak
     # the penalty only touches the diagonal, so no n x n copy of it is held
-    # next to g and the C-ordered copy of w below
-    g = tau * ata
+    # next to g; g is this call's own and C-ordered, so the solve writes
+    # the factor over it: g, then the C-ordered copy of atz that becomes
+    # w, are the heap's two n-sized arrays, in that order
+    g = np.multiply(ata, tau, order="C")
     g[np.diag_indices(n - intercept)] += tau * lam
-    # spd_solve returns C order, as a loaded checkpoint has, so BLAS rounds
+    # the solve returns C order, as a loaded checkpoint has, so BLAS rounds
     # products with fitted and reloaded weights alike; it copies its right
     # side, so atz itself goes in when there is nothing to scale
-    w = spd_solve(g, atz if tau == 1.0 else tau * atz)
+    w = _spd_solve_owned(g, atz if tau == 1.0 else tau * atz)
     accounting.add_macs("solve", accounting.cholesky_solve_macs(n, atz.shape[1]))
     accounting.note_matrices(ata, atz, g, w)
     return w

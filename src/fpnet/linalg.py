@@ -231,7 +231,7 @@ def spd_solve(g, b):
     ``b`` give x: L y = b, then L.T x = y. Both run on numpy's OpenBLAS
     (``dpotrf`` on a C-ordered copy of ``g``, then ``cblas_dtrsm``); where
     numpy bundles none, ``np.linalg.cholesky`` and ``np.linalg.solve`` do
-    the same checks and give x. ``b`` is left unchanged.
+    the same checks and give x. ``g`` and ``b`` are left unchanged.
 
     Parameters
     ----------
@@ -252,8 +252,16 @@ def spd_solve(g, b):
         PIVOT_FLOOR relative to the largest diagonal entry. The error
         carries the 0-based index of the failing pivot.
     """
-    g = as_matrix(g, "g")
-    b = as_matrix(b, "b")
+    return _spd_solve_owned(np.array(as_matrix(g, "g"), order="C"),
+                            as_matrix(b, "b"))
+
+
+def _spd_solve_owned(g, b):
+    """``spd_solve`` on a C-ordered float64 ``g`` that the caller owns and
+    gives up: where ``cblas_dtrsm`` is bound, the factor is written over
+    ``g``, so the solve holds no second copy of the system. ``b`` is left
+    unchanged.
+    """
     n = g.shape[0]
     if g.shape[1] != n:
         raise ValueError(f"g must be square, got shape {g.shape}")
@@ -268,13 +276,17 @@ def spd_solve(g, b):
         rows = slice(i, i + SYMMETRY_BLOCK_ROWS)
         if not np.abs(g[rows] - g[:, rows].T).max() <= tol:
             raise ValueError("g is not symmetric")
-
-    # the solution overwrites this copy; allocated before the factor, it
-    # lands below it on the heap, which keeps the fit's peak RSS down
-    x = np.array(b, order="C")
-    factor = _cholesky(g)
-    diag = np.diagonal(factor)
+    # read off g, which the factor may overwrite, not off the factor: a
+    # pivot is small relative to g's largest diagonal entry
     floor = PIVOT_FLOOR * max(1.0, float(np.max(np.abs(np.diagonal(g)))))
+
+    # the solution overwrites this copy; allocated after g and before the
+    # factor is written into g, it keeps the fit's peak RSS down
+    x = np.array(b, order="C")
+    # np.linalg.solve, the fallback without cblas_dtrsm, solves with g
+    # itself, so g is factored in place only where dtrsm does the solve
+    factor = _cholesky(g, overwrite=_DTRSM is not None)
+    diag = np.diagonal(factor)
     small = np.nonzero(diag * diag < floor)[0]
     if small.size:
         raise NotPositiveDefiniteError(int(small[0]), message=(
@@ -289,12 +301,13 @@ def spd_solve(g, b):
     return ensure_finite(x, "spd_solve result")
 
 
-def _cholesky(g):
+def _cholesky(g, overwrite=False):
     """C-ordered Cholesky factor of ``g`` in its lower triangle.
 
-    ``dpotrf`` factors a C-ordered copy of ``g`` in place: uplo 'U' on a
-    column-major view of it is the lower factor in row-major order, and the
-    upper triangle keeps g's entries. Its ``info`` is the order of the first
+    ``dpotrf`` factors a C-ordered copy of ``g`` in place, or with
+    ``overwrite`` ``g`` itself if it is C-ordered: uplo 'U' on a column-major
+    view of it is the lower factor in row-major order, and the upper
+    triangle keeps g's entries. Its ``info`` is the order of the first
     minor that is not positive definite. Without the binding,
     ``np.linalg.cholesky`` factors and a bisection finds that order.
     Raises NotPositiveDefiniteError carrying the 0-based failing pivot.
@@ -304,7 +317,7 @@ def _cholesky(g):
             return np.ascontiguousarray(np.linalg.cholesky(g))
         except np.linalg.LinAlgError:
             raise NotPositiveDefiniteError(_first_failing_pivot(g)) from None
-    factor = np.array(g, order="C")
+    factor = g if overwrite and g.flags.c_contiguous else np.array(g, order="C")
     n, info = _I64(g.shape[0]), _I64()
     _DPOTRF(b"U", n, factor.ctypes.data, n, info)
     if info.value < 0:

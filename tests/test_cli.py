@@ -444,6 +444,34 @@ class TestSweepArguments:
         assert err.startswith("error: ") and names in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, names", [
+        (["fewshot-sweep", "--shots", "5,5", "--seeds", "0", "--hidden", "4"],
+         "--shots lists 5 more than once"),
+        (["fewshot-sweep", "--shots", "5", "--seeds", "0,1,0", "--hidden",
+          "4"], "--seeds lists 0 more than once"),
+        (["bottleneck-sweep", "--widths", "4,8,04", "--base-widths", "4"],
+         "--widths lists 4 more than once")],
+        ids=["repeated shots", "repeated seeds", "repeated widths"])
+    def test_repeated_cell_rejected(self, tmp_path, capsys, argv, names):
+        cfg = _write_config(tmp_path / "cfg.json", data=self.DATA)
+        out = tmp_path / "o"
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and names in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, rows", [
+        (["fewshot-sweep", "--shots", "5", "--seeds", "0", "--hidden", "4,4"],
+         1),
+        (["bottleneck-sweep", "--widths", "4", "--base-widths", "6,6"], 4)],
+        ids=["repeated hidden width", "repeated base width"])
+    def test_repeated_layer_widths_are_layers(self, tmp_path, argv, rows):
+        cfg = _write_config(tmp_path / "cfg.json", data=self.DATA)
+        out = tmp_path / "o"
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+        (csv,) = out.iterdir()
+        assert len(csv.read_text().splitlines()) == rows + 1
+
     @pytest.mark.parametrize("argv, rows", [
         (["fewshot-sweep", "--shots", "5", "--seeds", "0", "--hidden", ""], 1),
         (["bottleneck-sweep", "--widths", "4", "--base-widths", ""], 4)],

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,7 +9,7 @@ from fpnet.core import (GramAccumulator, RidgeConfig, TargetGenSpec,
                         fit_weights, generate_targets, iterative_update,
                         ridge_solve)
 from fpnet.errors import DivergenceError, NotPositiveDefiniteError
-from fpnet.linalg import SeededRng, gaussian_matrix, rank_estimate
+from fpnet.linalg import SeededRng, gaussian_matrix, rank_estimate, spd_solve
 
 
 def _acc_from(a, z):
@@ -337,6 +339,90 @@ class TestRidgeSolve:
         w = ridge_solve(ata, atz, lam=3.0, intercept=True)
         grad = ata @ w - atz + 3.0 * (pen[:, None] * w)
         assert np.max(np.abs(grad)) <= 1e-10
+
+
+class TestRidgeSolveFactorsItsOwnSystem:
+    """ridge_solve writes the Cholesky factor over the system it builds,
+    and over nothing it was given."""
+
+    @staticmethod
+    def _sums(n=60, k=7, seed=81):
+        # symmetric to within spd_solve's tolerance, not exactly: the lower
+        # and upper triangles differ, so reading one for the other shows
+        rng = SeededRng(seed)
+        a = rng.standard_normal((n + 20, n))
+        ata = a.T @ a + 1e-12 * np.triu(rng.standard_normal((n, n)), 1)
+        return ata, a.T @ rng.standard_normal((n + 20, k))
+
+    def test_pivot_floor_is_taken_from_the_system(self):
+        # the factor's diagonal is [100, 3.2e-5]: against its largest entry
+        # pivot 1 would pass the floor, against the system's 1e4 it fails
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            ridge_solve(np.diag([1e4, 1e-9]), np.ones((2, 1)), 0.0)
+        assert err.value.pivot_index == 1
+
+    @pytest.mark.parametrize("tau", [1.0, 0.25])
+    def test_fortran_ordered_sums_give_the_same_bytes(self, tau):
+        ata, atz = self._sums()
+        w = ridge_solve(ata, atz, 10.0, tau=tau)
+        fortran = ridge_solve(np.asfortranarray(ata), atz, 10.0, tau=tau)
+        assert fortran.tobytes() == w.tobytes()
+
+    def test_without_dtrsm_matches_the_bound_solve(self, monkeypatch):
+        ata, atz = self._sums()
+        bound = ridge_solve(ata, atz, 10.0)
+        monkeypatch.setattr(linalg, "_DTRSM", None)
+        fallback = ridge_solve(ata, atz, 10.0)
+        assert np.linalg.norm(fallback - bound) <= 1e-12 * np.linalg.norm(bound)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_inputs_left_unchanged(self, order):
+        ata, atz = (np.array(m, order=order) for m in self._sums())
+        before = ata.tobytes(), atz.tobytes()
+        ridge_solve(ata, atz, 10.0)
+        ridge_solve(ata, atz, 10.0, tau=0.5, intercept=True)
+        spd_solve(ata + 10.0 * np.eye(len(ata)), atz)
+        g = ata.copy()
+        spd_solve(g, atz)
+        assert (ata.tobytes(), atz.tobytes()) == before
+        assert g.tobytes() == before[0]
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTransients:
+    """What a 1000-wide layer's target and solve steps allocate beyond
+    their inputs and result."""
+
+    @pytest.mark.parametrize("rows", [1001, 500])
+    def test_label_term_is_added_in_chunks(self, rows):
+        rng = SeededRng(rows)
+        a = rng.standard_normal((rows, 1000))
+        y = np.eye(10)[np.arange(rows) % 10]
+        q, u = rng.standard_normal((1000, 1000)), rng.standard_normal((10, 1000))
+        z, peak = _traced_peak(
+            lambda: generate_targets(a, y, q, u, TargetGenSpec()))
+        # the result, one label chunk and its sign buffer, then the
+        # finiteness mask; no second (rows, 1000) product
+        assert peak <= 1.4 * z.nbytes
+
+    def test_solve_holds_its_system_once(self):
+        n = 1000
+        rng = SeededRng(82)
+        a = rng.standard_normal((n + 200, n))
+        ata, atz = a.T @ a, rng.standard_normal((n, n))
+        del a
+        _, peak = _traced_peak(lambda: ridge_solve(ata, atz, 10.0))
+        # the system, the right side's copy that becomes w, and the
+        # finiteness mask of w; no copy of the system to factor
+        assert peak <= 2.5 * 8 * n * n
 
 
 class TestIterativeUpdate:

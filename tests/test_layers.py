@@ -991,6 +991,26 @@ class TestLiveSetWithinBudget:
             lambda: fit_network(specs, (x, y), batch_size=2000))
         assert peak < 1.15 * INFERENCE_BUDGET_BYTES + self._fixed_state(net)
 
+    def test_dense_step_holds_no_label_product(self):
+        # a 1000 -> 1000 hidden layer on 1001-row batches, each made as the
+        # stream is read; the budget counts a step's input and targets
+        rows, width = 1001, 1000
+        spec = _dense_spec(width, activation="relu", g="sign", q_seed=1,
+                           u_seed=2)
+        rng = SeededRng(29)
+        q = rng.standard_normal((width, width))
+        u = rng.standard_normal((10, width))
+
+        def stream():
+            batches = SeededRng(30)
+            for _ in range(3):
+                yield (batches.standard_normal((rows, width)),
+                       one_hot(np.arange(rows) % 10))
+
+        _, peak = _traced_peak(lambda: fit_layer(spec, stream, q=q, u=u))
+        gram = 8 * width * (width + width)
+        assert peak - gram <= 1.15 * 8 * rows * (width + width)
+
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_predict(self, case):
         specs, x, y, n = self.CASES[case]()
