@@ -22,6 +22,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import accounting
 from .accounting import CostLedger, PHASES
 from .bench import (METHODS, bottleneck_sweep, derive_layer_seeds,
@@ -37,8 +39,8 @@ from .errors import (CheckpointFormatError, ConfigError, DataConsistencyError,
                      UndefinedMetricError, UnsupportedNonlinearityError)
 from .explain import explain_layer, input_origin, render_map, write_map_csv, write_map_pgm
 from .layers import (ACTIVATIONS, CONV_DIMS, KIND_FIELDS, LAYER_KINDS,
-                     IterativeConfig, LayerSpec, fit_network, network_forward,
-                     potentials, predict)
+                     IterativeConfig, LayerSpec, _shape_walk, fit_network,
+                     network_forward, predict)
 from .linalg import SeededRng
 from .metrics import MetricReport, metric_report
 
@@ -306,24 +308,47 @@ def _require_config(args, reads=TOP_KEYS):
     return resolve_config(_load_config(args.config), args, reads)
 
 
-def _open_run(resolved, needs_test=None, n_classes=None, shots=None):
+def _open_run(resolved, needs_test=None, n_classes=None, shots=None,
+              fit=None):
     """(train, test, out_dir): the configured splits, then the output
     directory made, so a failure to load data writes nothing.
     ``needs_test`` names a subcommand that needs a test split;
     ``n_classes`` is as in ``build_datasets``; ``shots`` samples of every
-    class must be in the training split."""
+    class must be in the training split; ``fit``, a (specs, mode) pair,
+    must fit the data in memory (``_check_fit_memory``)."""
     train, test = build_datasets(resolved["data"], n_classes)
     if needs_test and test is None:
         raise ConfigError(f"{needs_test} needs a test split")
     if shots:  # raises as the sweep's own subsample would
         few_shot_subsample(train, shots, SeededRng(0))
+    if fit:
+        _check_fit_memory(*fit, train)
     os.makedirs(resolved["out"], exist_ok=True)
     return train, test, resolved["out"]
 
 
+def _check_fit_memory(specs, mode, train):
+    """ConfigError unless each matrix that a fit of ``specs`` on ``train``
+    holds can be allocated on its own: every weighted layer's q and w, as
+    the shapes size them (``layers._shape_walk``), and in closed form its
+    Gram sums, or the dual's n x n system when it sees fewer rows than
+    their side. numpy refuses a request past the machine at once, and
+    frees one it grants untouched."""
+    walk = _shape_walk(specs, train.x.shape[1:], train.y.shape[1]) or ()
+    for idx, (width, _, shape) in enumerate(walk):
+        side = min(width, len(train.x) * math.prod(shape[1:]))
+        square = [(side, side)] if mode == "closed_form" else []
+        for dims in [(width, shape[0]), *square] if width else ():
+            try:
+                np.empty(dims)
+            except (MemoryError, ValueError) as e:
+                raise ConfigError(f"out of memory: architecture[{idx}] needs "
+                                  f"a {dims[0]} x {dims[1]} matrix: {e}") from e
+
+
 def cmd_train(args):
     resolved, specs, mode = _require_config(args)
-    train, test, out_dir = _open_run(resolved)
+    train, test, out_dir = _open_run(resolved, fit=(specs, mode))
     _write_resolved(resolved, out_dir)
     ledger = CostLedger()
     with accounting.track(ledger):
@@ -370,9 +395,8 @@ def cmd_explain(args):
     if layer.spec.kind in ("global_avg_pool", "output"):
         raise ConfigError(f"layer {k} is {layer.spec.kind}; nothing to explain")
     a_prev = network_forward(net, x, upto=k)
-    z = potentials(layer, a_prev)
     origin = input_origin(net.layers[:k], x.ndim - 2)
-    emap = explain_layer(layer, a_prev, z, origin=origin, layer_index=k)
+    emap = explain_layer(layer, a_prev, origin=origin, layer_index=k)
     upsample_to = x.shape[2:]
     out_dir = args.out if args.out is not None else "fp_run"
     os.makedirs(out_dir, exist_ok=True)  # a bad argument above writes nothing
@@ -387,7 +411,8 @@ def cmd_explain(args):
 
 def cmd_bench(args):
     resolved, specs, mode = _require_config(args)
-    train, test, out_dir = _open_run(resolved, needs_test="bench")
+    train, test, out_dir = _open_run(resolved, needs_test="bench",
+                                     fit=(specs, mode))
     _write_resolved(resolved, out_dir)
     rep, ledger = run_benchmark(specs, train, test, mode=mode,
                                 batch_size=resolved["batch_size"],

@@ -246,14 +246,13 @@ def ridge_solve(ata, atz, lam, tau=1.0, intercept=False):
             tau = 1.0 / peak
     # the penalty only touches the diagonal, so no n x n copy of it is held
     # next to g; g is this call's own and C-ordered, so the solve writes
-    # the factor over it: g, then the C-ordered copy of atz that becomes
-    # w, are the heap's two n-sized arrays, in that order
+    # the factor over it: g, then the scaled C-ordered copy of atz that
+    # becomes w, are the heap's two n-sized arrays, in that order
     g = np.multiply(ata, tau, order="C")
     g[np.diag_indices(n - intercept)] += tau * lam
     # the solve returns C order, as a loaded checkpoint has, so BLAS rounds
-    # products with fitted and reloaded weights alike; it copies its right
-    # side, so atz itself goes in when there is nothing to scale
-    w = _spd_solve_owned(g, atz if tau == 1.0 else tau * atz)
+    # products with fitted and reloaded weights alike
+    w = _spd_solve_owned(g, atz, scale=tau)
     accounting.add_macs("solve", accounting.cholesky_solve_macs(n, atz.shape[1]))
     accounting.note_matrices(ata, atz, g, w)
     return w

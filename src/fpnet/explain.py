@@ -113,24 +113,34 @@ def _decode(layer, z, known, pinv):
     return (d.reshape(-1, d.shape[-1]) @ pinv).reshape(*d.shape[:-1], -1)
 
 
-def explain_layer(layer, a_prev, z, origin=None, layer_index=0):
+def explain_layer(layer, a_prev, z=None, origin=None, layer_index=0):
     """Map one layer's potentials to per-class evidence.
 
     a_prev : the layer's input batch (whatever ``forward`` consumed).
     z : the layer's potentials for that batch; (N, m) for dense layers,
-        (N, m, *spatial') for conv layers.
+        (N, m, *spatial') for conv layers. By default they are computed
+        here, from the layer's weights w.
     origin : grid geometry of a_prev in input coordinates (conv stacks);
         defaults to the identity grid.
 
     g(a_prev @ q) comes from ``layers.potentials`` of the layer with q as
     its weights, so a conv layer's windows are built as ``forward`` builds
-    them. Returns an ExplanationMap whose trailing axis indexes classes.
+    them. Without ``z``, one such call takes w and q side by side, so the
+    windows are built once for both. Returns an ExplanationMap whose
+    trailing axis indexes classes.
     """
     spec = layer.spec
     _inverse_g(layer)  # an undecodable layer fails before any work
     u_pinv = pseudo_inverse_rows(layer.u)
-    g_in = activate(spec.target.g, potentials(replace(layer, w=layer.q),
-                                              a_prev), in_place=True)
+    if z is None:
+        if layer.w is None:
+            raise ValueError(f"{spec.kind} layer has no weights")
+        both = potentials(replace(layer, w=np.hstack([layer.w, layer.q])),
+                          a_prev)
+        z, a_q = np.split(both, [layer.w.shape[1]], axis=1)
+    else:
+        a_q = potentials(replace(layer, w=layer.q), a_prev)
+    g_in = activate(spec.target.g, a_q, in_place=True)
     z = np.asarray(z, dtype=np.float64)
     if z.shape != g_in.shape:
         raise ValueError(f"potentials shaped {z.shape}, expected {g_in.shape}")

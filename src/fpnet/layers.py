@@ -341,9 +341,14 @@ def _draw_projections(spec, in_dim, label_dim):
     tgt = spec.target
     if tgt is None:
         raise ValueError(f"{spec.kind} layer has no target generation spec")
-    q = gaussian_matrix(in_dim, spec.out_channels, SeededRng(tgt.q_seed))
+    q = _draw_q(spec, in_dim)
     u = gaussian_matrix(label_dim, spec.out_channels, SeededRng(tgt.u_seed))
     return q, u
+
+
+def _draw_q(spec, in_dim):
+    return gaussian_matrix(in_dim, spec.out_channels,
+                           SeededRng(spec.target.q_seed))
 
 
 @dataclass(frozen=True)
@@ -525,7 +530,11 @@ def fit_network(specs, dataset, mode="closed_form", batch_size=256,
         Forward Projection's ``generate_targets`` by default.
     projections : one (q, u) pair per spec (None for pooling and output
         layers), as ``draw_projections`` gives them; by default each layer
-        draws its own from its target seeds as it is fitted.
+        draws its own from its target seeds as it is fitted. The fit then
+        holds only the q of the layer it is fitting: a fitted layer's drawn
+        q, which no later step reads, is let go, and drawn again from its
+        seed when the net is returned, the same bit for bit. Projections
+        passed in stay with the layers that were given them.
     """
     specs = list(specs)
     kinds = [s.kind for s in specs]
@@ -553,14 +562,19 @@ def fit_network(specs, dataset, mode="closed_form", batch_size=256,
     if not class_names:
         class_names = [str(i) for i in range(y.shape[1])]
 
-    trained = []
+    trained, redraw = [], []
     for k, (spec, drawn) in enumerate(zip(specs, projections)):
         q, u = drawn or (None, None)
-        trained.append(
-            TrainedLayer(spec) if spec.kind == "global_avg_pool"
-            else fit_layer(spec, _replay(source, prefix), q=q, u=u,
-                           mode=mode, targets=targets))
-        prefix.append(trained[-1])
+        layer = (TrainedLayer(spec) if spec.kind == "global_avg_pool"
+                 else fit_layer(spec, _replay(source, prefix), q=q, u=u,
+                                mode=mode, targets=targets))
+        trained.append(layer)
+        prefix.append(layer)
+        # no later step reads a q the layer drew from its seed, so it is let
+        # go until the net is returned; random features' q is their w
+        if drawn is None and layer.q is not None and layer.q is not layer.w:
+            layer.q = None
+            redraw.append(layer)
         # kept, the output stays beside every later step's batch live set
         if (k + 1 < len(specs) and walk is not None
                 and 8 * (len(x) * math.prod(walk[k][2])
@@ -568,6 +582,8 @@ def fit_network(specs, dataset, mode="closed_form", batch_size=256,
                          * max(live for _, live, _ in walk[k + 1:]))
                 <= INFERENCE_BUDGET_BYTES):
             source, prefix = _kept(_replay(source, prefix)), []
+    for layer in redraw:  # as fit_layer drew it, channel-major
+        layer.q = _draw_q(layer.spec, layer.w.shape[0])
     return Network(trained, label_dim=y.shape[1], class_names=class_names)
 
 

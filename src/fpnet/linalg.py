@@ -256,11 +256,12 @@ def spd_solve(g, b):
                             as_matrix(b, "b"))
 
 
-def _spd_solve_owned(g, b):
-    """``spd_solve`` on a C-ordered float64 ``g`` that the caller owns and
-    gives up: where ``cblas_dtrsm`` is bound, the factor is written over
-    ``g``, so the solve holds no second copy of the system. ``b`` is left
-    unchanged.
+def _spd_solve_owned(g, b, scale=1.0):
+    """``spd_solve`` of ``g`` x = ``scale`` * ``b`` on a C-ordered float64
+    ``g`` that the caller owns and gives up: where ``cblas_dtrsm`` is bound,
+    the factor is written over ``g``, so the solve holds no second copy of
+    the system. ``b`` is left unchanged; the solve's one copy of it takes
+    the scale.
     """
     n = g.shape[0]
     if g.shape[1] != n:
@@ -281,8 +282,9 @@ def _spd_solve_owned(g, b):
     floor = PIVOT_FLOOR * max(1.0, float(np.max(np.abs(np.diagonal(g)))))
 
     # the solution overwrites this copy; allocated after g and before the
-    # factor is written into g, it keeps the fit's peak RSS down
-    x = np.array(b, order="C")
+    # factor is written into g, it keeps the fit's peak RSS down. A scale
+    # of 1 copies b's values bit for bit
+    x = np.multiply(b, scale, order="C")
     # np.linalg.solve, the fallback without cblas_dtrsm, solves with g
     # itself, so g is factored in place only where dtrsm does the solve
     factor = _cholesky(g, overwrite=_DTRSM is not None)

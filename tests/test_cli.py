@@ -5,12 +5,14 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import fpnet
-from fpnet.cli import main
+import fpnet.layers as layers_mod
+from fpnet.cli import _check_fit_memory, main
 
 
 def _write_config(path, **overrides):
@@ -227,6 +229,38 @@ class TestErrorPaths:
         assert "batch loss" in capsys.readouterr().err
         assert main(["train", "--config", str(cfg), "--out",
                      str(tmp_path / "fp")]) == 0
+
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    @pytest.mark.parametrize("mode", ["closed_form", "iterative"])
+    def test_unallocatable_layer_writes_nothing(self, tmp_path, capsys,
+                                                command, mode):
+        # sized from the shapes once the data is loaded, before --out
+        cfg = _write_config(
+            tmp_path / "cfg.json", mode=mode,
+            architecture=[{"kind": "dense", "out_channels": 10**12},
+                          {"kind": "output"}])
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "architecture[0]" in err
+        assert not out.exists()
+
+    def test_fit_memory_sized_by_the_rows_a_layer_sees(self):
+        # 240 rows into a 10**6-wide output layer solve the dual's 240 x 240
+        # system, not 8 TB of Gram sums; q and w, 96 MB each, are granted
+        # and freed untouched. 2 * 10**6 rows need the Gram sums, which an
+        # iterative fit does not build
+        specs = [fpnet.LayerSpec("dense", 10**6, target=fpnet.TargetGenSpec()),
+                 fpnet.LayerSpec("output")]
+
+        def rows(n):  # only the shapes are read
+            return SimpleNamespace(x=np.broadcast_to(0.0, (n, 12)),
+                                   y=np.broadcast_to(0.0, (n, 3)))
+
+        _check_fit_memory(specs, "closed_form", rows(240))
+        with pytest.raises(fpnet.ConfigError, match=r"architecture\[1\]"):
+            _check_fit_memory(specs, "closed_form", rows(2 * 10**6))
+        _check_fit_memory(specs, fpnet.IterativeConfig(), rows(2 * 10**6))
 
     def test_unallocatable_layer_is_config_error(self, tmp_path, capsys):
         # q alone would be 12 x 10**12 floats, 87 TiB; numpy refuses the
@@ -593,6 +627,36 @@ class TestExplain:
             assert lines[0] == "row,col,score"
             assert len(lines) == 1 + 5 * 5  # upsampled to input resolution
             assert pgm.read_bytes().startswith(b"P5\n5 5\n255\n")
+
+    def test_explained_conv_layer_gathers_its_windows_once(self, tmp_path,
+                                                           monkeypatch):
+        img, lab = _write_idx_pair(tmp_path, side=9)
+        cfg = _write_config(
+            tmp_path / "cfg.json",
+            data={"kind": "idx", "train_images": str(img),
+                  "train_labels": str(lab)},
+            architecture=[
+                {"kind": "conv2d", "out_channels": 4, "kernel": [3, 3]},
+                {"kind": "conv2d", "out_channels": 5, "kernel": [2, 2],
+                 "stride": 2},
+                {"kind": "global_avg_pool"},
+                {"kind": "output"},
+            ])
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        channels = []
+        gather = layers_mod.extract_windows
+
+        def counted(x, *args, **kwargs):
+            channels.append(np.shape(x)[1])
+            return gather(x, *args, **kwargs)
+
+        monkeypatch.setattr(layers_mod, "extract_windows", counted)
+        assert main(["explain", "--checkpoint", str(out / "model.fpk"),
+                     "--input", str(img), "--layer", "1",
+                     "--out", str(tmp_path / "maps")]) == 0
+        # layer 0's forward pass, then the explained layer's windows once
+        assert channels == [1, 4]
 
     def test_dense_layer_map(self, tmp_path):
         img, lab = _write_idx_pair(tmp_path)

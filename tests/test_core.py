@@ -424,6 +424,30 @@ class TestTransients:
         # finiteness mask of w; no copy of the system to factor
         assert peak <= 2.5 * 8 * n * n
 
+    def test_scaled_solve_holds_its_right_side_once(self):
+        # tau scales the copy of atz that becomes w; a separate tau * atz
+        # would add a third n x n array
+        n = 1000
+        rng = SeededRng(83)
+        a = rng.standard_normal((n + 200, n))
+        ata, atz = a.T @ a, rng.standard_normal((n, n))
+        del a
+        _, peak = _traced_peak(lambda: ridge_solve(ata, atz, 10.0, tau=0.5))
+        assert peak <= 2.5 * 8 * n * n
+
+    @pytest.mark.parametrize("scale", [1.0, 1e13])
+    def test_scaled_solve_gives_the_scaled_system_s_bytes(self, scale):
+        # the solve of (tau ata + tau lam I) w = tau atz, its right side
+        # scaled whole before the solve: at tau 0.5, and under the
+        # auto-rescale when the sums pass RESCALE_THRESHOLD
+        ata, atz = (scale * m for m in
+                    TestRidgeSolveFactorsItsOwnSystem._sums())
+        tau = 0.5 if scale == 1.0 else 1.0 / float(ata.max())
+        g = tau * ata
+        g[np.diag_indices(len(g))] += tau * 10.0
+        w = ridge_solve(ata, atz, 10.0, tau=0.5 if scale == 1.0 else 1.0)
+        assert w.tobytes() == spd_solve(g, tau * atz).tobytes()
+
 
 class TestIterativeUpdate:
     def test_zero_residual_is_fixed_point(self):

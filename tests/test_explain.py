@@ -144,6 +144,39 @@ class TestExplainLayer:
         explain_layer(layer, x, z)
         assert calls == [True]
 
+    def test_omitted_potentials_gather_windows_once(self, monkeypatch):
+        # z and g(a_prev @ q) from one product of the windows with w and q
+        # side by side
+        layer, x, z = self._fitted_conv()
+        ref = explain_layer(layer, x, z)
+        calls = []
+        gather = layers_mod.extract_windows
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("channels_last", False))
+            return gather(*args, **kwargs)
+
+        monkeypatch.setattr(layers_mod, "extract_windows", counted)
+        emap = explain_layer(layer, x)
+        assert calls == [True]
+        assert emap.origin == ref.origin
+        assert_allclose(emap.values, ref.values, rtol=1e-12, atol=1e-12)
+
+    def test_omitted_potentials_dense(self):
+        task = synthetic_gaussian_task(80, 6, 3, 3.0, SeededRng(19))
+        spec = LayerSpec("dense", out_channels=12, activation="relu",
+                         target=TargetGenSpec(g="sign", q_seed=3, u_seed=4))
+        layer = fit_layer(spec, [(task.x, task.y)])
+        ref = explain_layer(layer, task.x, potentials(layer, task.x))
+        emap = explain_layer(layer, task.x)
+        assert emap.origin is None
+        assert_allclose(emap.values, ref.values, rtol=1e-12, atol=1e-12)
+
+    def test_omitted_potentials_need_weights(self):
+        layer = _dense_layer(8, 16, 4, g="sign", seed=23)
+        with pytest.raises(ValueError):
+            explain_layer(layer, np.zeros((2, 8)))
+
     def test_conv_builds_windows_in_blocks(self, monkeypatch):
         # 40 samples of 32 x 24 x 24 through a 3x3, stride-2 layer: 279 KB
         # of window rows a sample, 11.2 MB for all of them at once

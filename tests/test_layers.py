@@ -9,6 +9,7 @@ import fpnet.layers as layers_mod
 from fpnet import accounting, linalg
 from fpnet.baselines import (BaselineKind, fit_baseline_network,
                              make_baseline_targets)
+from fpnet.bench import mlp_specs
 from fpnet.core import (RidgeConfig, TargetGenSpec, generate_targets,
                         ridge_solve)
 from fpnet.data import Dataset, Pixels, one_hot, synthetic_gaussian_task
@@ -425,6 +426,93 @@ class TestFitNetwork:
             fit_network([_dense_spec(4)], train)
         with pytest.raises(ValueError):
             fit_network([LayerSpec("output"), _dense_spec(4)], train)
+
+
+def _redraw_case(case):
+    """(specs, fit) of one fit that draws its own projections: ``fit`` takes
+    the projections to share, or None."""
+    task = synthetic_gaussian_task(300, 12, 3, 3.0, SeededRng(9))
+    dense = [_dense_spec(20, activation="relu", g="sign", q_seed=3, u_seed=4),
+             _dense_spec(16, activation="relu", g="sign", q_seed=5, u_seed=6),
+             LayerSpec("output")]
+    if case == "conv":
+        # two input channels, so channel-major and channels-last q differ
+        x = SeededRng(10).standard_normal((40, 2, 9, 9))
+        task = Dataset(x, one_hot(np.arange(40) % 3), ["a", "b", "c"])
+        target = TargetGenSpec(g="sign", q_seed=7, u_seed=8)
+        specs = [LayerSpec("conv2d", 6, (3, 3), 1, "relu", target),
+                 LayerSpec("conv2d", 4, (3, 3), 2, "relu",
+                           TargetGenSpec(g="sign", q_seed=11, u_seed=12)),
+                 LayerSpec("global_avg_pool"), LayerSpec("output")]
+        return specs, task, lambda p: fit_network(specs, task, projections=p)
+    if case == "iterative":
+        mode = IterativeConfig(eta=1e-3, epochs=1, batch=50)
+        return dense, task, lambda p: fit_network(dense, task, mode=mode,
+                                                  projections=p)
+    if case in ("label_projection", "random_features"):
+        kind = BaselineKind(case)
+        return dense, task, lambda p: fit_baseline_network(kind, dense, task,
+                                                           projections=p)
+    return dense, task, lambda p: fit_network(dense, task, projections=p)
+
+
+REDRAW_CASES = ["dense", "conv", "iterative", "label_projection",
+                "random_features"]
+
+
+class TestDrawnProjectionsLetGo:
+    """A fit holds only the q of the layer it is fitting; the q of every
+    other layer that drew its own is drawn again from its seed when the
+    net is returned."""
+
+    @pytest.mark.parametrize("case", REDRAW_CASES)
+    def test_returned_q_is_the_drawn_one(self, case):
+        specs, task, fit = _redraw_case(case)
+        net = fit(None)
+        drawn = layers_mod.draw_projections(specs, task.x.shape[1:],
+                                            task.y.shape[1])
+        for tl, pair in zip(net.layers, drawn):
+            if pair is None:
+                assert tl.q is None
+                continue
+            assert np.array_equal(tl.q, pair[0])
+            assert tl.q.flags.writeable  # as fit_layer draws it
+            assert (tl.w is tl.q) == (case == "random_features")
+
+    @pytest.mark.parametrize("case", REDRAW_CASES)
+    def test_later_layers_fit_without_earlier_drawn_q(self, monkeypatch,
+                                                      case):
+        specs, task, fit = _redraw_case(case)
+        fitted, held = [], []
+        fit_layer_ = layers_mod.fit_layer
+
+        def spied(*args, **kwargs):
+            held.append([tl.q is not None for tl in fitted])
+            fitted.append(fit_layer_(*args, **kwargs))
+            return fitted[-1]
+
+        monkeypatch.setattr(layers_mod, "fit_layer", spied)
+        fit(None)
+        # random features' q is their w, which later layers read
+        keeps = case == "random_features"
+        assert held == [[keeps] * k for k in range(len(held))]
+        # projections passed in stay with their layers
+        held.clear(), fitted.clear()
+        fit(layers_mod.draw_projections(specs, task.x.shape[1:],
+                                        task.y.shape[1]))
+        assert held == [[True] * k for k in range(len(held))]
+
+    def test_fit_peak_holds_one_drawn_q(self):
+        # 200 -> 400 x 3: each q of the two later layers is 1.28 MB. With
+        # the projections drawn before tracing, no q counts in the peak;
+        # drawn by the fit, only the one of the layer being fitted may
+        task = synthetic_gaussian_task(4000, 200, 10, 3.0, SeededRng(5))
+        specs = mlp_specs((400, 400, 400), seed=7)
+        _, own = _traced_peak(lambda: fit_network(specs, task))
+        drawn = layers_mod.draw_projections(specs, (200,), 10)
+        _, shared = _traced_peak(
+            lambda: fit_network(specs, task, projections=drawn))
+        assert own - shared <= 400 * 400 * 8
 
 
 def _replayed(monkeypatch):
