@@ -429,8 +429,8 @@ class TestFitNetwork:
 
 
 def _redraw_case(case):
-    """(specs, fit) of one fit that draws its own projections: ``fit`` takes
-    the projections to share, or None."""
+    """(specs, dataset, fit) of one fit that draws its own projections:
+    ``fit`` takes the projections to share, or None."""
     task = synthetic_gaussian_task(300, 12, 3, 3.0, SeededRng(9))
     dense = [_dense_spec(20, activation="relu", g="sign", q_seed=3, u_seed=4),
              _dense_spec(16, activation="relu", g="sign", q_seed=5, u_seed=6),
