@@ -125,6 +125,30 @@ class LayerSpec:
         return RidgeConfig(lam=lam)
 
 
+class _SeededQ:
+    """The ``q`` field of ``TrainedLayer``, held in the layer's ``__dict__``.
+
+    ``del layer.q`` lets go of a q that the layer drew from its target seed:
+    the first read after it draws q again through ``_draw_q`` with
+    ``w.shape[0]`` rows, channel-major and bit for bit as ``fit_layer`` drew
+    it, and keeps it. Until then ``vars(layer)`` holds no q, so copies and
+    pickles of the layer draw theirs the same way.
+    """
+
+    def __get__(self, layer, owner=None):
+        if layer is None:
+            return None  # the field's default
+        if "q" not in vars(layer):
+            layer.q = _draw_q(layer.spec, layer.w.shape[0])
+        return vars(layer)["q"]
+
+    def __set__(self, layer, q):
+        vars(layer)["q"] = q
+
+    def __delete__(self, layer):
+        vars(layer).pop("q", None)
+
+
 @dataclass
 class TrainedLayer:
     """A spec plus whatever matrices fitting produced.
@@ -133,11 +157,13 @@ class TrainedLayer:
     out_channels) for conv) and (d + 1, label_dim) for the output layer,
     whose final row is the intercept. q and u are the frozen projections
     used to generate this layer's targets; pooling layers hold none of it.
+    Inference reads only w: a q let go with ``del layer.q`` is drawn from
+    its seed on first read (``_SeededQ``).
     """
 
     spec: LayerSpec
     w: np.ndarray | None = None
-    q: np.ndarray | None = None
+    q: np.ndarray | None = _SeededQ()
     u: np.ndarray | None = None
 
 
@@ -532,9 +558,10 @@ def fit_network(specs, dataset, mode="closed_form", batch_size=256,
         layers), as ``draw_projections`` gives them; by default each layer
         draws its own from its target seeds as it is fitted. The fit then
         holds only the q of the layer it is fitting: a fitted layer's drawn
-        q, which no later step reads, is let go, and drawn again from its
-        seed when the net is returned, the same bit for bit. Projections
-        passed in stay with the layers that were given them.
+        q, which no later step and no prediction reads, is let go, and the
+        returned layer draws it again from its seed on its first read
+        (``save_network``, ``explain_layer``), the same bit for bit.
+        Projections passed in stay with the layers that were given them.
     """
     specs = list(specs)
     kinds = [s.kind for s in specs]
@@ -562,7 +589,7 @@ def fit_network(specs, dataset, mode="closed_form", batch_size=256,
     if not class_names:
         class_names = [str(i) for i in range(y.shape[1])]
 
-    trained, redraw = [], []
+    trained = []
     for k, (spec, drawn) in enumerate(zip(specs, projections)):
         q, u = drawn or (None, None)
         layer = (TrainedLayer(spec) if spec.kind == "global_avg_pool"
@@ -570,11 +597,11 @@ def fit_network(specs, dataset, mode="closed_form", batch_size=256,
                                 mode=mode, targets=targets))
         trained.append(layer)
         prefix.append(layer)
-        # no later step reads a q the layer drew from its seed, so it is let
-        # go until the net is returned; random features' q is their w
+        # no later step, and no prediction, reads a q the layer drew from
+        # its seed, so it is let go until it is read; random features' q is
+        # their w
         if drawn is None and layer.q is not None and layer.q is not layer.w:
-            layer.q = None
-            redraw.append(layer)
+            del layer.q
         # kept, the output stays beside every later step's batch live set
         if (k + 1 < len(specs) and walk is not None
                 and 8 * (len(x) * math.prod(walk[k][2])
@@ -582,8 +609,6 @@ def fit_network(specs, dataset, mode="closed_form", batch_size=256,
                          * max(live for _, live, _ in walk[k + 1:]))
                 <= INFERENCE_BUDGET_BYTES):
             source, prefix = _kept(_replay(source, prefix)), []
-    for layer in redraw:  # as fit_layer drew it, channel-major
-        layer.q = _draw_q(layer.spec, layer.w.shape[0])
     return Network(trained, label_dim=y.shape[1], class_names=class_names)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -10,9 +11,11 @@ from fpnet import accounting, linalg
 from fpnet.baselines import (BaselineKind, fit_baseline_network,
                              make_baseline_targets)
 from fpnet.bench import mlp_specs
+from fpnet.checkpoint import load_network, save_network
 from fpnet.core import (RidgeConfig, TargetGenSpec, generate_targets,
                         ridge_solve)
 from fpnet.data import Dataset, Pixels, one_hot, synthetic_gaussian_task
+from fpnet.explain import explain_layer
 from fpnet.layers import (INFERENCE_BUDGET_BYTES, IterativeConfig, LayerSpec,
                           Network, TrainedLayer, activate, extract_windows,
                           fit_layer, fit_network, forward,
@@ -462,8 +465,8 @@ REDRAW_CASES = ["dense", "conv", "iterative", "label_projection",
 
 class TestDrawnProjectionsLetGo:
     """A fit holds only the q of the layer it is fitting; the q of every
-    other layer that drew its own is drawn again from its seed when the
-    net is returned."""
+    other layer that drew its own is let go, and the returned layer draws
+    it again from its seed on its first read."""
 
     @pytest.mark.parametrize("case", REDRAW_CASES)
     def test_returned_q_is_the_drawn_one(self, case):
@@ -487,7 +490,8 @@ class TestDrawnProjectionsLetGo:
         fit_layer_ = layers_mod.fit_layer
 
         def spied(*args, **kwargs):
-            held.append([tl.q is not None for tl in fitted])
+            # the stored value: reading tl.q would draw a let-go q
+            held.append([vars(tl).get("q") is not None for tl in fitted])
             fitted.append(fit_layer_(*args, **kwargs))
             return fitted[-1]
 
@@ -513,6 +517,114 @@ class TestDrawnProjectionsLetGo:
         _, shared = _traced_peak(
             lambda: fit_network(specs, task, projections=drawn))
         assert own - shared <= 400 * 400 * 8
+
+
+SEEDED_CASES = [case for case in REDRAW_CASES if case != "random_features"]
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The q seed of every ``layers._draw_q`` call, in order."""
+    calls, draw_q = [], layers_mod._draw_q
+
+    def spied(spec, in_dim):
+        calls.append(spec.target.q_seed)
+        return draw_q(spec, in_dim)
+
+    monkeypatch.setattr(layers_mod, "_draw_q", spied)
+    return calls
+
+
+class TestSeededQ:
+    """A layer that let go of the q it drew from its seed draws it on the
+    first read, bit for bit what the fit drew; predicting never reads it."""
+
+    @pytest.mark.parametrize("case", SEEDED_CASES)
+    def test_draw_counts(self, draws, case):
+        specs, task, fit = _redraw_case(case)
+        seeds = [spec.target.q_seed for spec in specs if spec.target]
+        net = fit(None)
+        # once each as its layer is fitted, and none when the net returns
+        assert draws == seeds
+        predict(net, task.x)
+        network_forward(net, task.x, upto=2)
+        assert draws == seeds
+        drawn = layers_mod.draw_projections(specs, task.x.shape[1:],
+                                            task.y.shape[1])
+        draws.clear()
+        for tl, pair in zip(net.layers, drawn):
+            if pair is not None:
+                assert "q" not in vars(tl)
+                assert np.array_equal(tl.q, pair[0])
+        assert draws == seeds  # a first read draws once
+        for tl in net.layers:
+            tl.q
+        assert draws == seeds  # a second draws nothing
+
+    @pytest.mark.parametrize("case", SEEDED_CASES)
+    def test_checkpoint_same_whether_q_read_or_not(self, tmp_path, case):
+        specs, task, fit = _redraw_case(case)
+        read = fit(None)
+        for tl in read.layers:
+            tl.q
+        nets = {"unread": fit(None), "read": read,
+                "shared": fit(layers_mod.draw_projections(
+                    specs, task.x.shape[1:], task.y.shape[1]))}
+        for name, net in nets.items():
+            save_network(net, tmp_path / name)
+        assert ((tmp_path / "unread").read_bytes()
+                == (tmp_path / "read").read_bytes()
+                == (tmp_path / "shared").read_bytes())
+
+    @pytest.mark.parametrize("case", ["dense", "conv"])
+    def test_explain_maps_match_reloaded_net(self, tmp_path, case):
+        _, task, fit = _redraw_case(case)
+        fresh = fit(None)
+        save_network(fit(None), tmp_path / "model.fpk")
+        loaded = load_network(tmp_path / "model.fpk")
+        x = task.x[:5]
+        for k, tl in enumerate(fresh.layers):
+            if tl.u is None:
+                continue
+            assert "q" not in vars(tl)  # explain_layer draws it
+            maps = [explain_layer(net.layers[k],
+                                  network_forward(net, x, upto=k),
+                                  layer_index=k).values
+                    for net in (fresh, loaded)]
+            assert maps[0].tobytes() == maps[1].tobytes()
+
+    def test_replace_carries_the_seeded_q(self, draws):
+        specs, task, fit = _redraw_case("dense")
+        layer = fit(None).layers[1]
+        q = layers_mod.draw_projections(specs, task.x.shape[1:],
+                                        task.y.shape[1])[1][0]
+        draws.clear()
+        # w of other rows, so a copy drawing its own q would draw another
+        copy = dataclasses.replace(layer, w=layer.w[:1])
+        assert copy.q is layer.q
+        assert np.array_equal(copy.q, q)
+        assert len(draws) == 1
+
+    def test_predict_peak_holds_no_q(self):
+        # 200 -> 400 x 3: the fit's three drawn q take 3.2 MB, as the
+        # weights do. Predicting 500 rows, one batch, holds the net's w and
+        # u and that batch's live set in the step that holds the most
+        task = synthetic_gaussian_task(2000, 200, 10, 3.0, SeededRng(5))
+        specs = mlp_specs((400, 400, 400), seed=7)
+        x = SeededRng(6).standard_normal((500, 200))
+        tracemalloc.start()
+        try:
+            net = fit_network(specs, task)
+            tracemalloc.reset_peak()
+            predict(net, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(m.nbytes for tl in net.layers for m in (tl.w, tl.u)
+                   if m is not None)
+        walk = layers_mod._shape_walk(net.layers, x.shape[1:])
+        batch = 8 * len(x) * max(live for _, live, _ in walk)
+        assert peak < held + batch + 2**16
 
 
 def _replayed(monkeypatch):

@@ -383,6 +383,16 @@ class TestSpdSolveDpotrf:
         assert np.array_equal(factor[upper], g[upper])
 
 
+def test_dpotrf_argument_error_raises(monkeypatch):
+    # LAPACK reports an illegal argument as info = -(its position)
+    def dpotrf(uplo, n, a, lda, info):
+        info.value = -4
+
+    monkeypatch.setattr(linalg, "_DPOTRF", dpotrf)
+    with pytest.raises(ValueError, match="dpotrf rejected argument 4"):
+        linalg._cholesky(np.eye(3))
+
+
 # raises that no other test reaches: (call, exception type, message match)
 _LINALG_RAISES = {
     "zero sigma": (lambda: SeededRng(0).normal((2,), 0.0), ValueError,
