@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import accounting
+from .core import _add_label_term
 from .layers import fit_network
 from .linalg import SeededRng
 
@@ -36,26 +36,21 @@ class BaselineKind:
 def make_baseline_targets(kind, y, u, rng=None, n_rows=None):
     """Target potentials for one batch, or None when nothing is fitted.
 
-    y holds one label row per sample. Each sample's label term y @ u is
-    repeated for its n_rows / len(y) consecutive design rows (window
-    positions); n_rows defaults to len(y). Noise is drawn per design row.
+    y holds one label row per sample, of n_rows (default len(y)) design
+    rows in all: each sample's label term y @ u goes to its n_rows / len(y)
+    consecutive rows (window positions) as in ``generate_targets``, onto
+    zeros, or onto noise drawn per design row.
     """
     if kind.name == "random_features":
         return None
-    n = len(y)
-    n_rows = n if n_rows is None else n_rows
-    if n_rows % n:
-        raise ValueError(f"y has {n} rows, the batch {n_rows}, not a multiple")
-    ztil = y @ u
-    accounting.add_macs("target_gen",
-                        accounting.matmul_macs(n, y.shape[1], u.shape[1]))
-    if n_rows != n:
-        ztil = np.repeat(ztil, n_rows // n, axis=0)
+    shape = (len(y) if n_rows is None else n_rows, u.shape[1])
     if kind.name == "noisy_label_projection":
         if rng is None:
             raise ValueError("noisy_label_projection needs an rng")
-        ztil += rng.normal(ztil.shape, kind.noise_sigma)
-    return ztil
+        ztil = rng.normal(shape, kind.noise_sigma)
+    else:
+        ztil = np.zeros(shape)
+    return _add_label_term(ztil, y, u, "identity")
 
 
 def fit_baseline_network(kind, specs, dataset, batch_size=256, noise_seed=0,

@@ -76,10 +76,6 @@ def run_benchmark(specs, train, test, mode="closed_form", batch_size=256,
     return metric_report(scores, test.y, seed=seed), ledger
 
 
-def _projections(specs, train):
-    return draw_projections(specs, train.x.shape[1:], train.y.shape[1])
-
-
 def bottleneck_sweep(train, test, widths=(100, 200, 400, 800),
                      base_widths=(1000, 1000), activation="relu", g="sign",
                      seed=0, batch_size=256, methods=METHODS):
@@ -89,7 +85,8 @@ def bottleneck_sweep(train, test, widths=(100, 200, 400, 800),
     for width in widths:
         specs = mlp_specs([*base_widths, width], activation=activation,
                           g=g, seed=seed)
-        projections = _projections(specs, train)
+        projections = draw_projections(specs, train.x.shape[1:],
+                                       train.y.shape[1])
         for method in methods:
             report, ledger = run_benchmark(specs, train, test,
                                            batch_size=batch_size, seed=seed,
@@ -115,7 +112,8 @@ def fewshot_sweep(train, test, shots=(5, 10, 15, 20, 30, 40, 50),
     rows = {}
     for seed in seeds:
         specs = mlp_specs(hidden, activation=activation, g=g, seed=seed)
-        projections = _projections(specs, train)
+        projections = draw_projections(specs, train.x.shape[1:],
+                                       train.y.shape[1])
         for n_shot in shots:
             subset = few_shot_subsample(train, n_shot, SeededRng(seed))
             report, _ = run_benchmark(specs, subset, test,

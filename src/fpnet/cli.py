@@ -5,9 +5,10 @@ key; they take --config, --seed, --out, --lambda-hidden, --lambda-output,
 --mode and --method. eval reads only the config's seed, data and out; the
 sweeps also read target_g and batch_size and take their own flags; explain
 reads no config. A config resolves in one pass into the layer specs and
-fitting mode the run uses, and any config error is raised before anything
-is written. Every seed is materialised into resolved_config.json, so
-rerunning that file reproduces the checkpoint byte for byte.
+fitting mode the run uses, and any config error, layers that do not chain
+from the data included, is raised before anything is written. Every seed
+is materialised into resolved_config.json: that file, rerun with the same
+--method (which it does not record), reproduces the checkpoint bit for bit.
 
 Exit codes: 0 success, 2 config or usage error (a config that asks for
 more memory than can be allocated among them), 3 data format error,
@@ -39,7 +40,7 @@ from .errors import (CheckpointFormatError, ConfigError, DataConsistencyError,
                      UndefinedMetricError, UnsupportedNonlinearityError)
 from .explain import explain_layer, input_origin, render_map, write_map_csv, write_map_pgm
 from .layers import (ACTIVATIONS, CONV_DIMS, KIND_FIELDS, LAYER_KINDS,
-                     IterativeConfig, LayerSpec, _shape_walk, fit_network,
+                     IterativeConfig, LayerSpec, _fit_walk, fit_network,
                      network_forward, predict)
 from .linalg import SeededRng
 from .metrics import MetricReport, metric_report
@@ -315,7 +316,7 @@ def _open_run(resolved, needs_test=None, n_classes=None, shots=None,
     ``needs_test`` names a subcommand that needs a test split;
     ``n_classes`` is as in ``build_datasets``; ``shots`` samples of every
     class must be in the training split; ``fit``, a (specs, mode) pair,
-    must fit the data in memory (``_check_fit_memory``)."""
+    must chain from the data and fit in memory (``_check_fit_memory``)."""
     train, test = build_datasets(resolved["data"], n_classes)
     if needs_test and test is None:
         raise ConfigError(f"{needs_test} needs a test split")
@@ -328,13 +329,16 @@ def _open_run(resolved, needs_test=None, n_classes=None, shots=None,
 
 
 def _check_fit_memory(specs, mode, train):
-    """ConfigError unless each matrix that a fit of ``specs`` on ``train``
-    holds can be allocated on its own: every weighted layer's q and w, as
-    the shapes size them (``layers._shape_walk``), and in closed form its
-    Gram sums, or the dual's n x n system when it sees fewer rows than
-    their side. numpy refuses a request past the machine at once, and
-    frees one it grants untouched."""
-    walk = _shape_walk(specs, train.x.shape[1:], train.y.shape[1]) or ()
+    """ConfigError unless the layers of ``specs`` chain from the samples of
+    ``train`` and each matrix that a fit of them holds can be allocated on
+    its own: every weighted layer's q and w, as the shapes size them
+    (``layers._fit_walk``), and in closed form its Gram sums, or the dual's
+    n x n system when it sees fewer rows than their side. numpy refuses a
+    request past the machine at once, and frees one it grants untouched."""
+    try:
+        walk = _fit_walk(specs, train.x.shape[1:], train.y.shape[1])
+    except ValueError as e:
+        raise ConfigError(f"architecture: {e}") from e
     for idx, (width, _, shape) in enumerate(walk):
         side = min(width, len(train.x) * math.prod(shape[1:]))
         square = [(side, side)] if mode == "closed_form" else []

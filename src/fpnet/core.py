@@ -21,6 +21,7 @@ outweigh the d x d sums they stand in for, and they are folded into the
 sums as soon as n reaches d.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,14 @@ RESCALE_THRESHOLD = 1e12
 # A batch loss this many times that of zero weights on the same batch means
 # the gradient steps diverge (eta above 2 / the batch Hessian's top eigenvalue).
 DIVERGENCE_RATIO = 1e6
+
+
+def _integer(value, name):
+    """``value`` as an int; a float, even an integral one, is a ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -66,9 +75,10 @@ class TargetGenSpec:
                 f"g must be one of {TARGET_NONLINEARITIES}, got {self.g!r}")
         if not np.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
-        if min(self.q_seed, self.u_seed) < 0:
-            raise ValueError(f"q_seed and u_seed must be >= 0, got "
-                             f"{self.q_seed} and {self.u_seed}")
+        for name in ("q_seed", "u_seed"):
+            seed = _integer(getattr(self, name), name)
+            if seed < 0:
+                raise ValueError(f"{name} must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -96,8 +106,8 @@ def generate_targets(a_prev, y, q, u, spec):
     a_prev : (B, m_in) activations from the previous layer, the rows of N
         samples in sample order, B / N consecutive rows each (one per
         window position of a conv layer, one in all for a dense layer).
-    y : (N, m_L) label matrix, one row per sample. Its label term g(y @ u)
-        is computed once per sample and added to each of the sample's rows.
+    y : (N, m_L) label matrix, one row per sample, whose label term
+        g(y @ u) goes to each of the sample's rows (``_add_label_term``).
     q : (m_in, m_out) input projection.
     u : (m_L, m_out) label projection.
     """
@@ -106,9 +116,6 @@ def generate_targets(a_prev, y, q, u, spec):
     q = as_matrix(q, "q")
     u = as_matrix(u, "u")
     b, m_in = a_prev.shape
-    n = y.shape[0]
-    if b % n:
-        raise ValueError(f"y has {n} rows, a_prev has {b}, not a multiple")
     if q.shape[0] != m_in:
         raise ValueError(f"q expects {q.shape[0]} inputs, a_prev has {m_in}")
     if u.shape[0] != y.shape[1]:
@@ -116,24 +123,33 @@ def generate_targets(a_prev, y, q, u, spec):
     if q.shape[1] != u.shape[1]:
         raise ValueError(
             f"q and u disagree on output width: {q.shape[1]} vs {u.shape[1]}")
-    m_out = q.shape[1]
-    # a_prev @ q is fresh, so g and the label term overwrite it; the label
-    # term is added a chunk of samples at a time, so besides the result
-    # only one chunk of at most SIGN_BLOCK_FLOATS floats is held, not an
-    # (N, m_out) product; with one-hot labels each chunk's product is exact,
-    # so the values are those of the whole product
-    ztil = activate(spec.g, a_prev @ q, in_place=True)
-    per_sample = ztil.reshape(n, b // n, m_out)  # a view: ztil is C-ordered
-    step = max(1, SIGN_BLOCK_FLOATS // m_out)
-    for i in range(0, n, step):
-        per_sample[i:i + step] += activate(spec.g, y[i:i + step] @ u,
-                                           in_place=True)[:, None]
+    # a_prev @ q is fresh, so g and the label term overwrite it
+    ztil = _add_label_term(activate(spec.g, a_prev @ q, in_place=True),
+                           y, u, spec.g)
     if spec.alpha != 0.0:
         ztil += spec.alpha
     accounting.add_macs("target_gen",
-                        accounting.matmul_macs(b, m_in, m_out)
-                        + accounting.matmul_macs(n, y.shape[1], m_out))
+                        accounting.matmul_macs(b, m_in, q.shape[1]))
     return ensure_finite(ztil, "targets")
+
+
+def _add_label_term(ztil, y, u, g):
+    """Add g(y @ u) of each of the N samples of ``y`` to its B / N rows of
+    the C-ordered (B, m) ``ztil`` in place, and return ztil. The term is
+    built for a chunk of samples of at most SIGN_BLOCK_FLOATS floats at a
+    time; with one-hot labels a chunk's rows are those of the whole product.
+    """
+    (b, m), n = ztil.shape, y.shape[0]
+    if b % n:
+        raise ValueError(f"y has {n} rows, the batch {b}, not a multiple")
+    per_sample = ztil.reshape(n, b // n, m)  # a view: ztil is C-ordered
+    step = max(1, SIGN_BLOCK_FLOATS // m)
+    for i in range(0, n, step):
+        per_sample[i:i + step] += activate(g, y[i:i + step] @ u,
+                                           in_place=True)[:, None]
+    accounting.add_macs("target_gen",
+                        accounting.matmul_macs(n, y.shape[1], m))
+    return ztil
 
 
 class GramAccumulator:

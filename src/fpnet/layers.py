@@ -28,14 +28,13 @@ w); a conv fit takes q's rows in that order, fits in it and maps w back.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import accounting
 from .core import (HIDDEN_LAMBDA, OUTPUT_LAMBDA, GramAccumulator, RidgeConfig,
-                   TargetGenSpec, fit_weights, generate_targets,
+                   TargetGenSpec, _integer, fit_weights, generate_targets,
                    iterative_update)
 from .data import Pixels, as_samples
 from .linalg import SeededRng, activate, as_matrix, gaussian_matrix
@@ -66,14 +65,6 @@ INFERENCE_BUDGET_BYTES = 16 * 2**20
 # (``_blocks``). Iterative fits, whose steps take a whole batch, build them
 # whole.
 WINDOW_BLOCK_BYTES = 2**20
-
-
-def _integer(value, name):
-    """``value`` as an int; a float, even an integral one, is a ValueError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -363,18 +354,17 @@ def _stream_factory(stream):
     return lambda: iter(batches)
 
 
-def _draw_projections(spec, in_dim, label_dim):
-    tgt = spec.target
-    if tgt is None:
+def _draw(spec, rows, seed):
+    """The (rows, out_channels) projection of a hidden layer drawn from its
+    target's ``seed`` field, "q_seed" or "u_seed"."""
+    if spec.target is None:
         raise ValueError(f"{spec.kind} layer has no target generation spec")
-    q = _draw_q(spec, in_dim)
-    u = gaussian_matrix(label_dim, spec.out_channels, SeededRng(tgt.u_seed))
-    return q, u
+    return gaussian_matrix(rows, spec.out_channels,
+                           SeededRng(getattr(spec.target, seed)))
 
 
 def _draw_q(spec, in_dim):
-    return gaussian_matrix(in_dim, spec.out_channels,
-                           SeededRng(spec.target.q_seed))
+    return _draw(spec, in_dim, "q_seed")
 
 
 @dataclass(frozen=True)
@@ -409,8 +399,9 @@ def fit_layer(spec, stream, q=None, u=None, mode="closed_form", targets=None):
 
     stream : zero-argument callable producing an iterator of
         (activations, labels) batch pairs, or a re-iterable of them.
-    q, u : explicit projections of a hidden layer; by default both are
-        drawn from the layer's target seeds on the first batch.
+    q, u : a hidden layer's projections, held by the returned layer. One
+        not given is drawn from its target seed; the layer holds a drawn q
+        only as random features' w, and draws it again on its first read.
     mode : "closed_form" accumulates Gram sums in one pass and solves the
         ridge once at the end; an IterativeConfig takes one gradient step on
         the same objective per batch, over ``epochs`` passes.
@@ -443,6 +434,7 @@ def fit_layer(spec, stream, q=None, u=None, mode="closed_form", targets=None):
                          f"not {spec.kind}")
     iterative = _is_iterative(mode)
     output = spec.kind == "output"
+    drawn_q = q is None and not output
     source = generate_targets if targets is None else targets
     factory = _stream_factory(stream)
     ridge = spec.effective_ridge()
@@ -466,9 +458,10 @@ def fit_layer(spec, stream, q=None, u=None, mode="closed_form", targets=None):
                     z, width = yb, yb.shape[1]
                 else:
                     if q_rows is None:
-                        if q is None or u is None:
-                            q, u = _draw_projections(spec, rows.shape[1],
-                                                     yb.shape[1])
+                        if q is None:
+                            q = _draw_q(spec, rows.shape[1])
+                        if u is None:
+                            u = _draw(spec, yb.shape[1], "u_seed")
                         q_rows = _window_rows_order(spec, q,
                                                     channels_last=True)
                     z = source(rows, yb, q_rows, u, spec.target)
@@ -497,7 +490,10 @@ def fit_layer(spec, stream, q=None, u=None, mode="closed_form", targets=None):
     if not iterative:
         w = fit_weights(acc, ridge, output)
     w = _window_rows_order(spec, w, channels_last=False)
-    return TrainedLayer(spec, w=w, q=q, u=u)
+    layer = TrainedLayer(spec, w=w, q=q, u=u)
+    if drawn_q:  # no later step and no prediction reads it
+        del layer.q
+    return layer
 
 
 def _dataset_xy(dataset):
@@ -540,7 +536,8 @@ def fit_network(specs, dataset, mode="closed_form", batch_size=256,
     it. The batches are the same either way, and so are the weights, bit
     for bit.
 
-    dataset : anything with .x / .y / .class_names, or an (x, y) pair.
+    dataset : anything with .x / .y / .class_names, or an (x, y) pair, whose
+        samples the specs must chain from (ValueError before any batch).
     mode : "closed_form" or an IterativeConfig, whose batch size then
         replaces ``batch_size``.
     batch_size : rows a closed-form fit streams per batch (``make_batches``,
@@ -555,13 +552,8 @@ def fit_network(specs, dataset, mode="closed_form", batch_size=256,
     targets : the hidden layers' target source, as in ``fit_layer``;
         Forward Projection's ``generate_targets`` by default.
     projections : one (q, u) pair per spec (None for pooling and output
-        layers), as ``draw_projections`` gives them; by default each layer
-        draws its own from its target seeds as it is fitted. The fit then
-        holds only the q of the layer it is fitting: a fitted layer's drawn
-        q, which no later step and no prediction reads, is let go, and the
-        returned layer draws it again from its seed on its first read
-        (``save_network``, ``explain_layer``), the same bit for bit.
-        Projections passed in stay with the layers that were given them.
+        layers), as ``draw_projections`` gives them, held by their layers;
+        by default each layer draws and holds its own as ``fit_layer`` does.
     """
     specs = list(specs)
     kinds = [s.kind for s in specs]
@@ -574,10 +566,10 @@ def fit_network(specs, dataset, mode="closed_form", batch_size=256,
                          f"{len(specs)} layers")
     iterative = _is_iterative(mode)
     x, y, class_names = _dataset_xy(dataset)
-    walk = _shape_walk(specs, x.shape[1:], y.shape[1])
+    walk = _fit_walk(specs, x.shape[1:], y.shape[1])
     if iterative:
         batch_size = mode.batch
-    elif walk is not None:  # the output layer has weights, so it is sized
+    else:
         # design rows grown no larger than the Gram sums, which do not grow
         # with n, and never a live set past the working-set budget
         gram = max(width for width, _, _ in walk)
@@ -597,13 +589,8 @@ def fit_network(specs, dataset, mode="closed_form", batch_size=256,
                                 mode=mode, targets=targets))
         trained.append(layer)
         prefix.append(layer)
-        # no later step, and no prediction, reads a q the layer drew from
-        # its seed, so it is let go until it is read; random features' q is
-        # their w
-        if drawn is None and layer.q is not None and layer.q is not layer.w:
-            del layer.q
         # kept, the output stays beside every later step's batch live set
-        if (k + 1 < len(specs) and walk is not None
+        if (k + 1 < len(specs)
                 and 8 * (len(x) * math.prod(walk[k][2])
                          + min(batch_size, len(x))
                          * max(live for _, live, _ in walk[k + 1:]))
@@ -640,12 +627,9 @@ def draw_projections(specs, sample_shape, label_dim):
     The arrays are read-only, so that no fit sharing them can change them.
     """
     specs = list(specs)
-    walk = _shape_walk(specs, sample_shape, label_dim)
-    if walk is None:
-        raise ValueError(f"layers do not chain from samples shaped "
-                         f"{tuple(sample_shape)}")
+    walk = _fit_walk(specs, sample_shape, label_dim)
     drawn = [None if spec.kind in ("global_avg_pool", "output")
-             else _draw_projections(spec, width, label_dim)
+             else (_draw_q(spec, width), _draw(spec, label_dim, "u_seed"))
              for spec, (width, _, _) in zip(specs, walk)]
     for m in (m for pair in drawn if pair for m in pair):
         m.setflags(write=False)
@@ -655,8 +639,8 @@ def draw_projections(specs, sample_shape, label_dim):
 def _shape_walk(layers, sample_shape, label_dim=None):
     """One sample shaped ``sample_shape`` walked through ``layers``, the
     specs of a fit or the trained layers of a prediction: the one walk that
-    sizes fits, predictions and conv blocks (``_budget_rows``,
-    ``fit_network``, ``_blocks``).
+    sizes fits, predictions and conv blocks (``_budget_rows``, ``_fit_walk``,
+    ``_blocks``).
 
     A spec's rows are as wide as the shapes make them, and its output has
     ``out_channels`` channels (``label_dim`` for the output layer). A
@@ -710,6 +694,16 @@ def _shape_walk(layers, sample_shape, label_dim=None):
             return None
         walk.append((width, n_in + built + math.prod(shape), shape))
         from_conv = kind in CONV_DIMS
+    return walk
+
+
+def _fit_walk(specs, sample_shape, label_dim):
+    """The ``_shape_walk`` of the specs of a fit; ValueError when they do
+    not chain from samples shaped ``sample_shape``."""
+    walk = _shape_walk(specs, sample_shape, label_dim)
+    if walk is None:
+        raise ValueError(f"layers do not chain from samples shaped "
+                         f"{tuple(sample_shape)}")
     return walk
 
 

@@ -175,6 +175,8 @@ MALFORMED = {
     "float stride": _set(["layers", 0, "stride"], 2.0),
     "fractional kernel entry": _set(["layers", 0, "kernel"], [1.5]),
     "float label_dim": _set(["label_dim"], 3.0),
+    "fractional q_seed": _set(["layers", 0, "target", "q_seed"], 1.5),
+    "fractional u_seed": _set(["layers", 0, "target", "u_seed"], 1.5),
     "target not an object": _set(["layers", 0, "target"], [1, 2]),
     "layer with an extra key": _set(["layers", 0, "padding"], 0),
     "layer without stride": _delete("layers", 0, "stride"),

@@ -844,3 +844,20 @@ class TestPackaging:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: fpnet")
         assert "train" in proc.stdout and "explain" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["train", "bench"])
+@pytest.mark.parametrize("mode", ["closed_form", "iterative"])
+def test_unchained_architecture_writes_nothing(tmp_path, capsys, command,
+                                               mode):
+    # a conv1d layer needs (C, T) samples; the synthetic ones are flat
+    cfg = _write_config(
+        tmp_path / "cfg.json", mode=mode,
+        architecture=[{"kind": "conv1d", "out_channels": 4, "kernel": [3]},
+                      {"kind": "output"}])
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: architecture: layers do not chain from "
+                          "samples shaped (12,)")
+    assert not out.exists()

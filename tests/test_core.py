@@ -554,6 +554,11 @@ class TestGramAccumulatorInPlace:
 _CORE_RAISES = {
     "alpha not finite": (lambda: TargetGenSpec(alpha=float("inf")),
                          ValueError, "alpha must be finite"),
+    # a fractional seed would draw the projection of its truncation
+    "fractional q_seed": (lambda: TargetGenSpec(q_seed=1.5), ValueError,
+                          "q_seed must be an integer, got 1.5"),
+    "string u_seed": (lambda: TargetGenSpec(u_seed="3"), ValueError,
+                      "u_seed must be an integer, got '3'"),
     "q rows": (lambda: generate_targets(np.ones((4, 3)), np.eye(2)[[0, 1] * 2],
                                         np.ones((5, 6)), np.ones((2, 6)),
                                         TargetGenSpec()),

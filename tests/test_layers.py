@@ -1615,3 +1615,53 @@ def test_bad_arguments_raise(case):
     call, error, match = _LAYERS_RAISES[case]
     with pytest.raises(error, match=match):
         call()
+
+
+class TestEachProjectionDrawnOnItsOwn:
+    """``fit_layer`` draws only the projections it is not given and holds
+    none it drew, and a fit checks that the layers chain before anything
+    streams."""
+
+    def _fit(self, **given):
+        task = synthetic_gaussian_task(60, 12, 3, 3.0, SeededRng(21))
+        spec = _dense_spec(8, activation="relu", g="sign", q_seed=5, u_seed=6)
+        (q, u), _ = layers_mod.draw_projections([spec, LayerSpec("output")],
+                                                (12,), 3)
+        return fit_layer(spec, [(task.x, task.y)], **given), q, u
+
+    def test_given_q_kept_and_u_drawn(self):
+        own = SeededRng(22).standard_normal((12, 8))
+        layer, _, u = self._fit(q=own)
+        assert layer.q is own
+        assert np.array_equal(layer.u, u)
+
+    def test_given_u_kept_and_q_drawn(self):
+        own = SeededRng(23).standard_normal((3, 8))
+        layer, q, _ = self._fit(u=own)
+        assert layer.u is own
+        assert "q" not in vars(layer)
+        assert np.array_equal(layer.q, q)
+
+    @pytest.mark.parametrize("case", ["dense", "conv"])
+    def test_drawn_q_let_go(self, case):
+        specs, task, _ = _redraw_case(case)
+        drawn = layers_mod.draw_projections(specs, task.x.shape[1:],
+                                            task.y.shape[1])
+        layer = fit_layer(specs[0], [(task.x, task.y)])
+        assert "q" not in vars(layer)
+        assert np.array_equal(layer.q, drawn[0][0])
+        assert np.array_equal(layer.u, drawn[0][1])
+
+    @pytest.mark.parametrize("mode", ["closed_form", IterativeConfig()],
+                             ids=["closed_form", "iterative"])
+    def test_unchained_fit_streams_nothing(self, monkeypatch, mode):
+        calls = []
+        for name in ("make_batches", "fit_layer"):
+            monkeypatch.setattr(layers_mod, name,
+                                lambda *a, name=name, **k: calls.append(name))
+        task = synthetic_gaussian_task(30, 12, 3, 3.0, SeededRng(24))
+        specs = [LayerSpec("conv1d", 4, (3,), target=TargetGenSpec()),
+                 LayerSpec("output")]
+        with pytest.raises(ValueError, match=r"do not chain .* \(12,\)"):
+            fit_network(specs, task, mode=mode)
+        assert calls == []
