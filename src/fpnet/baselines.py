@@ -7,7 +7,8 @@ noisy_label_projection : label_projection plus i.i.d. Gaussian noise.
 
 All three reuse the per-layer seeds from the layer specs, so q and u match
 the run under comparison wherever both schemes use them, and the output
-layer is fitted exactly as in the main method.
+layer is fitted exactly as in the main method. The label schemes read only
+u, so their fits draw no q: a fitted layer draws it on its first read.
 """
 
 from dataclasses import dataclass

@@ -399,18 +399,21 @@ def fit_layer(spec, stream, q=None, u=None, mode="closed_form", targets=None):
 
     stream : zero-argument callable producing an iterator of
         (activations, labels) batch pairs, or a re-iterable of them.
-    q, u : a hidden layer's projections, held by the returned layer. One
-        not given is drawn from its target seed; the layer holds a drawn q
-        only as random features' w, and draws it again on its first read.
+    q, u : a hidden layer's projections, held by the returned layer. A u not
+        given is drawn from its target seed on the first batch. A q not
+        given is drawn there only for the default targets, which read it,
+        and when ``targets`` returns None; the layer holds a drawn q only
+        as random features' w, and otherwise draws q on its first read.
     mode : "closed_form" accumulates Gram sums in one pass and solves the
         ridge once at the end; an IterativeConfig takes one gradient step on
         the same objective per batch, over ``epochs`` passes.
     targets : a hidden layer's target source, called on every batch (or
         block of a batch, below) as ``targets(rows, y, q, u, spec.target)``,
         with its design rows and labels, one row per sample; a conv layer's
-        rows hold each sample's window positions in turn. It returns one row
-        of target potentials per design row, or None when the weights are q
-        itself and no pass is needed. Defaults to ``generate_targets``.
+        rows hold each sample's window positions in turn, and q is the one
+        given, or None. It returns one row of target potentials per design
+        row, or None when the weights are q itself and no pass is needed.
+        Defaults to ``generate_targets``.
 
     The output layer's targets are the labels. Its rows gain a last,
     constant intercept column, and the solvers get ``intercept=True``,
@@ -457,15 +460,24 @@ def fit_layer(spec, stream, q=None, u=None, mode="closed_form", targets=None):
                 if output:  # fit the labels
                     z, width = yb, yb.shape[1]
                 else:
-                    if q_rows is None:
-                        if q is None:
+                    if acc is None and w is None:  # the first block
+                        # Forward Projection's targets read the spec, and
+                        # a q not given is drawn from its seed, now or on
+                        # the layer's first read
+                        if spec.target is None and (q is None
+                                                    or targets is None):
+                            raise ValueError(f"{spec.kind} layer has no "
+                                             f"target generation spec")
+                        if q is None and targets is None:
                             q = _draw_q(spec, rows.shape[1])
                         if u is None:
                             u = _draw(spec, yb.shape[1], "u_seed")
-                        q_rows = _window_rows_order(spec, q,
-                                                    channels_last=True)
+                        q_rows = None if q is None else _window_rows_order(
+                            spec, q, channels_last=True)
                     z = source(rows, yb, q_rows, u, spec.target)
-                    if z is None:
+                    if z is None:  # random features: the weights are q
+                        if q is None:
+                            q = _draw_q(spec, rows.shape[1])
                         return TrainedLayer(spec, w=q, q=q, u=u)
                     width = spec.out_channels
                 if iterative:
@@ -553,7 +565,7 @@ def fit_network(specs, dataset, mode="closed_form", batch_size=256,
         Forward Projection's ``generate_targets`` by default.
     projections : one (q, u) pair per spec (None for pooling and output
         layers), as ``draw_projections`` gives them, held by their layers;
-        by default each layer draws and holds its own as ``fit_layer`` does.
+        by default each layer draws what it reads, as ``fit_layer`` does.
     """
     specs = list(specs)
     kinds = [s.kind for s in specs]

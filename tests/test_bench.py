@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,8 +209,9 @@ class TestHarness:
 
 
 class TestSharedDraws:
-    """The sweeps draw each seed's (or width's) q and u once and share them
-    between the fits that use them."""
+    """The sweeps share no draws: each cell's fit draws the projections it
+    reads, as a separate run does. Projections a caller draws and passes to
+    fits are shared read-only."""
 
     def _splits(self):
         rng = SeededRng(46)
@@ -241,21 +243,22 @@ class TestSharedDraws:
         assert [(r["shots"], r["seed"], r["accuracy"], r["auc_macro"],
                  r["aupr_macro"]) for r in rows] == expected
 
-    def test_fewshot_draws_once_per_seed(self, monkeypatch):
+    def test_fewshot_draws_once_per_cell(self, monkeypatch):
         train, test = self._splits()
         calls = self._count_draws(monkeypatch)
         fewshot_sweep(train, test, shots=(5, 10), seeds=(0, 1),
                       hidden=(16, 8))
-        # a q and a u per hidden layer and seed; a draw per cell took twice
-        # as many
-        assert len(calls) == 2 * 2 * 2
+        # a q and a u per hidden layer and cell: 2 shots x 2 seeds
+        assert len(calls) == 2 * 2 * 2 * 2
 
     def test_bottleneck_rows_equal_separate_runs(self, monkeypatch):
         train, test = self._splits()
         calls = self._count_draws(monkeypatch)
         rows = bottleneck_sweep(train, test, widths=(6, 10), base_widths=(16,),
                                 seed=2)
-        assert len(calls) == 2 * 2 * 2  # per width, not per method and width
+        # per width and hidden layer, a q and a u for fp and random
+        # features, and a u alone for each label baseline, which reads no q
+        assert len(calls) == 2 * 2 * (2 + 2 + 1 + 1)
         expected = []
         for method in METHODS:
             for width in (6, 10):
@@ -302,6 +305,53 @@ class TestSharedDraws:
         with pytest.raises(ValueError, match="do not chain"):
             draw_projections([LayerSpec("global_avg_pool"),
                               LayerSpec("output")], (12,), 3)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSweepPeaks:
+    """A sweep holds no more than its largest cell does run alone through
+    ``run_benchmark``: no cell keeps projections for another."""
+
+    HIDDEN = (400, 400, 400)
+
+    def _splits(self):
+        # 200 -> 400 x 3: each q is 0.64 or 1.28 MB
+        rng = SeededRng(48)
+        return (synthetic_gaussian_task(300, 200, 10, 3.0, rng),
+                synthetic_gaussian_task(200, 200, 10, 3.0, rng))
+
+    @pytest.mark.parametrize("method", ["fp", "label_projection"])
+    def test_fewshot(self, method):
+        train, test = self._splits()
+        specs = mlp_specs(self.HIDDEN, seed=0)
+        cells = [lambda n=n: run_benchmark(
+                     specs, few_shot_subsample(train, n, SeededRng(0)), test,
+                     method=method) for n in (5, 10)]
+        cells[0]()  # first calls may set up lasting state; not a cell's
+        alone = max(_traced_peak(cell) for cell in cells)
+        sweep = _traced_peak(lambda: fewshot_sweep(
+            train, test, shots=(5, 10), seeds=(0,), hidden=self.HIDDEN,
+            method=method))
+        assert sweep <= alone + 2**16
+
+    def test_bottleneck(self):
+        train, test = self._splits()
+        cells = [lambda m=m, w=w: run_benchmark(
+                     mlp_specs((400, 400, w), seed=0), train, test,
+                     method=m) for m in METHODS for w in (200, 400)]
+        cells[0]()
+        alone = max(_traced_peak(cell) for cell in cells)
+        sweep = _traced_peak(lambda: bottleneck_sweep(
+            train, test, widths=(200, 400), base_widths=(400, 400)))
+        assert sweep <= alone + 2**16
 
 
 class TestIterativeDivergence:

@@ -544,11 +544,13 @@ class TestSeededQ:
         specs, task, fit = _redraw_case(case)
         seeds = [spec.target.q_seed for spec in specs if spec.target]
         net = fit(None)
-        # once each as its layer is fitted, and none when the net returns
-        assert draws == seeds
+        # once each as its layer is fitted, and none when the net returns;
+        # a label baseline's targets read no q, so its fit draws none
+        fitted = [] if case == "label_projection" else seeds
+        assert draws == fitted
         predict(net, task.x)
         network_forward(net, task.x, upto=2)
-        assert draws == seeds
+        assert draws == fitted
         drawn = layers_mod.draw_projections(specs, task.x.shape[1:],
                                             task.y.shape[1])
         draws.clear()
@@ -625,6 +627,70 @@ class TestSeededQ:
         walk = layers_mod._shape_walk(net.layers, x.shape[1:])
         batch = 8 * len(x) * max(live for _, live, _ in walk)
         assert peak < held + batch + 2**16
+
+
+class TestQDrawnWhereRead:
+    """A fit draws q only where its targets read it: Forward Projection's on
+    a layer's first batch, random features' when the source returns None,
+    and the label baselines', which read only u, never; their layers draw
+    it on the first read."""
+
+    @pytest.mark.parametrize("case", ["dense", "conv"])
+    @pytest.mark.parametrize("name", ["label_projection",
+                                      "noisy_label_projection"])
+    def test_label_baselines_draw_no_q(self, draws, name, case):
+        specs, task, _ = _redraw_case(case)
+        net = fit_baseline_network(BaselineKind(name), specs, task)
+        assert draws == []
+        drawn = layers_mod.draw_projections(specs, task.x.shape[1:],
+                                            task.y.shape[1])
+        draws.clear()
+        for tl, pair in zip(net.layers, drawn):
+            if pair is not None:
+                assert "q" not in vars(tl)
+                assert np.array_equal(tl.q, pair[0])
+                assert np.array_equal(tl.u, pair[1])
+        # one draw a layer, on its first read
+        assert draws == [spec.target.q_seed for spec in specs if spec.target]
+
+    @pytest.mark.parametrize("case", ["dense", "conv"])
+    def test_random_features_draw_q_once_a_layer(self, draws, case):
+        specs, task, _ = _redraw_case(case)
+        seeds = [spec.target.q_seed for spec in specs if spec.target]
+        net = fit_baseline_network(BaselineKind("random_features"), specs,
+                                   task)
+        assert draws == seeds
+        drawn = layers_mod.draw_projections(specs, task.x.shape[1:],
+                                            task.y.shape[1])
+        for tl, pair in zip(net.layers, drawn):
+            if pair is not None:
+                assert vars(tl)["q"] is tl.w
+                assert np.array_equal(tl.q, pair[0])
+        # given only u, the fit draws q when the source returns None
+        draws.clear()
+        (q, u), *_ = drawn
+        layer = fit_layer(specs[0], [(task.x, task.y)], u=u,
+                          targets=lambda *args: None)
+        assert draws == seeds[:1]
+        assert layer.w is layer.q and layer.u is u
+        assert np.array_equal(layer.q, q)
+
+    def test_custom_targets_get_q_only_when_given(self, draws):
+        task = synthetic_gaussian_task(60, 12, 3, 3.0, SeededRng(21))
+        spec = _dense_spec(8, activation="relu", g="sign", q_seed=5, u_seed=6)
+        seen = []
+
+        def targets(rows, y, q, u, target_spec):
+            seen.append(q)
+            return np.zeros((len(rows), spec.out_channels))
+
+        batches = [(task.x[:30], task.y[:30]), (task.x[30:], task.y[30:])]
+        fit_layer(spec, batches, targets=targets)
+        assert seen == [None, None] and draws == []
+        own = SeededRng(22).standard_normal((12, 8))
+        seen.clear()
+        assert fit_layer(spec, batches, q=own, targets=targets).q is own
+        assert [q is own for q in seen] == [True, True] and draws == []
 
 
 def _replayed(monkeypatch):
@@ -1595,6 +1661,11 @@ _LAYERS_RAISES = {
         ValueError, r"pooling expects \(N, C, \*spatial\) input"),
     "no target spec": (
         lambda: fit_layer(LayerSpec("dense", 4), _one_batch()),
+        ValueError, "dense layer has no target generation spec"),
+    # Forward Projection's targets read the spec, drawn q and u or given
+    "no target spec, q and u given": (
+        lambda: fit_layer(LayerSpec("dense", 4), _one_batch(),
+                          q=np.ones((3, 4)), u=np.ones((2, 4))),
         ValueError, "dense layer has no target generation spec"),
     "unknown mode": (
         lambda: fit_layer(_dense_spec(4), _one_batch(), mode="newton"),
