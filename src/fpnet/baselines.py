@@ -55,12 +55,12 @@ def make_baseline_targets(kind, y, u, rng=None, n_rows=None):
 
 
 def fit_baseline_network(kind, specs, dataset, batch_size=256, noise_seed=0,
-                         mode="closed_form", projections=None):
+                         mode="closed_form"):
     """Fit ``specs`` under a baseline scheme: the main network fit, with the
     baseline's hidden-layer targets in place of the main method's.
 
-    One rng seeded by ``noise_seed`` draws the noise of every layer in turn.
-    projections : shared (q, u) pairs, as in ``fit_network``.
+    Each layer draws the projections its targets read from its seeds. One
+    rng seeded by ``noise_seed`` draws the noise of every layer in turn.
     """
     rng = SeededRng(noise_seed)
 
@@ -68,4 +68,4 @@ def fit_baseline_network(kind, specs, dataset, batch_size=256, noise_seed=0,
         return make_baseline_targets(kind, y, u, rng, n_rows=len(rows))
 
     return fit_network(specs, dataset, mode=mode, batch_size=batch_size,
-                       targets=targets, projections=projections)
+                       targets=targets)

@@ -8,7 +8,8 @@ reads no config. A config resolves in one pass into the layer specs and
 fitting mode the run uses, and any config error, layers that do not chain
 from the data included, is raised before anything is written. Every seed
 is materialised into resolved_config.json: that file, rerun with the same
---method (which it does not record), reproduces the checkpoint bit for bit.
+--method (which it does not record), numpy/OpenBLAS build and BLAS thread
+count, reproduces the checkpoint bit for bit.
 
 Exit codes: 0 success, 2 config or usage error (a config that asks for
 more memory than can be allocated among them), 3 data format error,

@@ -535,12 +535,13 @@ def make_batches(x, y, batch_size):
 
 
 def fit_network(specs, dataset, mode="closed_form", batch_size=256,
-                targets=None, projections=None):
+                targets=None):
     """Fit a whole network layer by layer, front to back.
 
     Each trainable layer consumes exactly one pass over its input in
     closed-form mode (``IterativeConfig.epochs`` passes in iterative mode),
-    with earlier layers already frozen. No error signal ever flows backward.
+    with earlier layers already frozen, and draws the projections it reads
+    from its target's seeds. No error signal ever flows backward.
     Right after a layer is fitted, its output is computed once and kept for
     the layers after it if it fits INFERENCE_BUDGET_BYTES together with a
     batch's live set in any later step (as the shapes size them); any other
@@ -563,19 +564,11 @@ def fit_network(specs, dataset, mode="closed_form", batch_size=256,
         not depend on where batches end.
     targets : the hidden layers' target source, as in ``fit_layer``;
         Forward Projection's ``generate_targets`` by default.
-    projections : one (q, u) pair per spec (None for pooling and output
-        layers), as ``draw_projections`` gives them, held by their layers;
-        by default each layer draws what it reads, as ``fit_layer`` does.
     """
     specs = list(specs)
     kinds = [s.kind for s in specs]
     if kinds.count("output") != 1 or kinds[-1] != "output":
         raise ValueError("specs must contain exactly one output layer, last")
-    if projections is None:
-        projections = [None] * len(specs)
-    elif len(projections) != len(specs):
-        raise ValueError(f"{len(projections)} projections for "
-                         f"{len(specs)} layers")
     iterative = _is_iterative(mode)
     x, y, class_names = _dataset_xy(dataset)
     walk = _fit_walk(specs, x.shape[1:], y.shape[1])
@@ -594,11 +587,10 @@ def fit_network(specs, dataset, mode="closed_form", batch_size=256,
         class_names = [str(i) for i in range(y.shape[1])]
 
     trained = []
-    for k, (spec, drawn) in enumerate(zip(specs, projections)):
-        q, u = drawn or (None, None)
+    for k, spec in enumerate(specs):
         layer = (TrainedLayer(spec) if spec.kind == "global_avg_pool"
-                 else fit_layer(spec, _replay(source, prefix), q=q, u=u,
-                                mode=mode, targets=targets))
+                 else fit_layer(spec, _replay(source, prefix), mode=mode,
+                                targets=targets))
         trained.append(layer)
         prefix.append(layer)
         # kept, the output stays beside every later step's batch live set
@@ -629,23 +621,6 @@ def _replay(batches, layers):
 def _kept(stream):
     """Factory over the batches of ``stream``, each computed here once."""
     return _stream_factory(list(stream()))
-
-
-def draw_projections(specs, sample_shape, label_dim):
-    """The (q, u) pair of each layer of ``specs``, None for pooling and
-    output layers, drawn exactly as ``fit_layer`` draws them for input
-    samples shaped ``sample_shape``.
-
-    The arrays are read-only, so that no fit sharing them can change them.
-    """
-    specs = list(specs)
-    walk = _fit_walk(specs, sample_shape, label_dim)
-    drawn = [None if spec.kind in ("global_avg_pool", "output")
-             else (_draw_q(spec, width), _draw(spec, label_dim, "u_seed"))
-             for spec, (width, _, _) in zip(specs, walk)]
-    for m in (m for pair in drawn if pair for m in pair):
-        m.setflags(write=False)
-    return drawn
 
 
 def _shape_walk(layers, sample_shape, label_dim=None):

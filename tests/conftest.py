@@ -10,6 +10,7 @@ import os
 
 import pytest
 
+from fpnet import layers
 from fpnet.data import load_idx, synthetic_gaussian_task
 from fpnet.linalg import SeededRng
 
@@ -55,6 +56,17 @@ def blobs():
     train = synthetic_gaussian_task(800, 16, 4, 4.0, rng)
     test = synthetic_gaussian_task(400, 16, 4, 4.0, rng)
     return train, test
+
+
+def seeded_projections(specs, sample_shape, label_dim):
+    """The (q, u) pair each layer of ``specs`` draws from its seeds when
+    fitted on samples shaped ``sample_shape``, None for pooling and output
+    layers: the oracle a fitted layer's q and u are compared against."""
+    walk = layers._fit_walk(specs, sample_shape, label_dim)
+    return [None if spec.kind in ("global_avg_pool", "output")
+            else (layers._draw_q(spec, width),
+                  layers._draw(spec, label_dim, "u_seed"))
+            for spec, (width, _, _) in zip(specs, walk)]
 
 
 _acceptance_results = {}

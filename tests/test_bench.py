@@ -15,8 +15,7 @@ from fpnet.bench import (METHODS, bottleneck_sweep, derive_layer_seeds,
 from fpnet.core import RidgeConfig, TargetGenSpec
 from fpnet.data import few_shot_subsample, synthetic_gaussian_task
 from fpnet.errors import DivergenceError
-from fpnet.layers import (IterativeConfig, LayerSpec, draw_projections,
-                          fit_network)
+from fpnet.layers import IterativeConfig, LayerSpec, fit_network
 from fpnet.linalg import SeededRng
 
 
@@ -210,8 +209,7 @@ class TestHarness:
 
 class TestSharedDraws:
     """The sweeps share no draws: each cell's fit draws the projections it
-    reads, as a separate run does. Projections a caller draws and passes to
-    fits are shared read-only."""
+    reads, as a separate run does."""
 
     def _splits(self):
         rng = SeededRng(46)
@@ -269,42 +267,6 @@ class TestSharedDraws:
                                  report.auc_macro, ledger.total_macs))
         assert [(r["method"], r["width"], r["accuracy"], r["auc_macro"],
                  r["total_macs"]) for r in rows] == expected
-
-    def test_shared_projections_are_read_only(self):
-        train, _ = self._splits()
-        specs = mlp_specs((16, 8), seed=0)
-        projections = draw_projections(specs, (12,), 3)
-        assert projections[-1] is None
-        for q, u in projections[:-1]:
-            assert not q.flags.writeable and not u.flags.writeable
-
-        def writes_into_u(rows, y, q, u, target_spec):
-            u[0, 0] = 1.0
-
-        with pytest.raises(ValueError, match="read-only"):
-            fit_network(specs, train, targets=writes_into_u,
-                        projections=projections)
-
-    def test_shared_projections_are_the_seeded_draws(self):
-        train, _ = self._splits()
-        specs = mlp_specs((16, 8), seed=0)
-        own = fit_network(specs, train)
-        shared = fit_network(specs, train,
-                             projections=draw_projections(specs, (12,), 3))
-        for a, b in zip(own.layers, shared.layers):
-            for name in ("w", "q", "u"):
-                ma, mb = getattr(a, name), getattr(b, name)
-                assert (ma is None and mb is None) or np.array_equal(ma, mb)
-
-    def test_projections_must_match_the_layers(self):
-        train, _ = self._splits()
-        specs = mlp_specs((16, 8), seed=0)
-        with pytest.raises(ValueError, match="2 projections for 3 layers"):
-            fit_network(specs, train,
-                        projections=draw_projections(specs, (12,), 3)[:2])
-        with pytest.raises(ValueError, match="do not chain"):
-            draw_projections([LayerSpec("global_avg_pool"),
-                              LayerSpec("output")], (12,), 3)
 
 
 def _traced_peak(call):

@@ -24,6 +24,8 @@ from fpnet.layers import (INFERENCE_BUDGET_BYTES, IterativeConfig, LayerSpec,
 from fpnet.linalg import SeededRng, gaussian_matrix
 from fpnet.metrics import accuracy
 
+from conftest import seeded_projections
+
 
 def _dense_spec(out, activation="identity", g="identity", lam=10.0,
                 q_seed=100, u_seed=101, alpha=0.0):
@@ -432,8 +434,7 @@ class TestFitNetwork:
 
 
 def _redraw_case(case):
-    """(specs, dataset, fit) of one fit that draws its own projections:
-    ``fit`` takes the projections to share, or None."""
+    """(specs, dataset, fit) of one fit that draws its own projections."""
     task = synthetic_gaussian_task(300, 12, 3, 3.0, SeededRng(9))
     dense = [_dense_spec(20, activation="relu", g="sign", q_seed=3, u_seed=4),
              _dense_spec(16, activation="relu", g="sign", q_seed=5, u_seed=6),
@@ -447,16 +448,14 @@ def _redraw_case(case):
                  LayerSpec("conv2d", 4, (3, 3), 2, "relu",
                            TargetGenSpec(g="sign", q_seed=11, u_seed=12)),
                  LayerSpec("global_avg_pool"), LayerSpec("output")]
-        return specs, task, lambda p: fit_network(specs, task, projections=p)
+        return specs, task, lambda: fit_network(specs, task)
     if case == "iterative":
         mode = IterativeConfig(eta=1e-3, epochs=1, batch=50)
-        return dense, task, lambda p: fit_network(dense, task, mode=mode,
-                                                  projections=p)
+        return dense, task, lambda: fit_network(dense, task, mode=mode)
     if case in ("label_projection", "random_features"):
         kind = BaselineKind(case)
-        return dense, task, lambda p: fit_baseline_network(kind, dense, task,
-                                                           projections=p)
-    return dense, task, lambda p: fit_network(dense, task, projections=p)
+        return dense, task, lambda: fit_baseline_network(kind, dense, task)
+    return dense, task, lambda: fit_network(dense, task)
 
 
 REDRAW_CASES = ["dense", "conv", "iterative", "label_projection",
@@ -471,9 +470,8 @@ class TestDrawnProjectionsLetGo:
     @pytest.mark.parametrize("case", REDRAW_CASES)
     def test_returned_q_is_the_drawn_one(self, case):
         specs, task, fit = _redraw_case(case)
-        net = fit(None)
-        drawn = layers_mod.draw_projections(specs, task.x.shape[1:],
-                                            task.y.shape[1])
+        net = fit()
+        drawn = seeded_projections(specs, task.x.shape[1:], task.y.shape[1])
         for tl, pair in zip(net.layers, drawn):
             if pair is None:
                 assert tl.q is None
@@ -485,7 +483,7 @@ class TestDrawnProjectionsLetGo:
     @pytest.mark.parametrize("case", REDRAW_CASES)
     def test_later_layers_fit_without_earlier_drawn_q(self, monkeypatch,
                                                       case):
-        specs, task, fit = _redraw_case(case)
+        _, _, fit = _redraw_case(case)
         fitted, held = [], []
         fit_layer_ = layers_mod.fit_layer
 
@@ -496,27 +494,26 @@ class TestDrawnProjectionsLetGo:
             return fitted[-1]
 
         monkeypatch.setattr(layers_mod, "fit_layer", spied)
-        fit(None)
+        fit()
         # random features' q is their w, which later layers read
         keeps = case == "random_features"
         assert held == [[keeps] * k for k in range(len(held))]
-        # projections passed in stay with their layers
-        held.clear(), fitted.clear()
-        fit(layers_mod.draw_projections(specs, task.x.shape[1:],
-                                        task.y.shape[1]))
-        assert held == [[True] * k for k in range(len(held))]
 
-    def test_fit_peak_holds_one_drawn_q(self):
+    def test_fit_peak_holds_one_drawn_q(self, monkeypatch):
         # 200 -> 400 x 3: each q of the two later layers is 1.28 MB. With
-        # the projections drawn before tracing, no q counts in the peak;
-        # drawn by the fit, only the one of the layer being fitted may
+        # each q handed out from the same draws made before tracing, no q
+        # counts in the peak; drawn by the fit, only the one of the layer
+        # being fitted may
         task = synthetic_gaussian_task(4000, 200, 10, 3.0, SeededRng(5))
         specs = mlp_specs((400, 400, 400), seed=7)
         _, own = _traced_peak(lambda: fit_network(specs, task))
-        drawn = layers_mod.draw_projections(specs, (200,), 10)
-        _, shared = _traced_peak(
-            lambda: fit_network(specs, task, projections=drawn))
-        assert own - shared <= 400 * 400 * 8
+        drawn = {spec.target.q_seed: pair[0] for spec, pair
+                 in zip(specs, seeded_projections(specs, (200,), 10)) if pair}
+        assert len(drawn) == 3
+        monkeypatch.setattr(layers_mod, "_draw_q",
+                            lambda spec, in_dim: drawn[spec.target.q_seed])
+        _, handed = _traced_peak(lambda: fit_network(specs, task))
+        assert own - handed <= 400 * 400 * 8
 
 
 SEEDED_CASES = [case for case in REDRAW_CASES if case != "random_features"]
@@ -543,7 +540,7 @@ class TestSeededQ:
     def test_draw_counts(self, draws, case):
         specs, task, fit = _redraw_case(case)
         seeds = [spec.target.q_seed for spec in specs if spec.target]
-        net = fit(None)
+        net = fit()
         # once each as its layer is fitted, and none when the net returns;
         # a label baseline's targets read no q, so its fit draws none
         fitted = [] if case == "label_projection" else seeds
@@ -551,8 +548,7 @@ class TestSeededQ:
         predict(net, task.x)
         network_forward(net, task.x, upto=2)
         assert draws == fitted
-        drawn = layers_mod.draw_projections(specs, task.x.shape[1:],
-                                            task.y.shape[1])
+        drawn = seeded_projections(specs, task.x.shape[1:], task.y.shape[1])
         draws.clear()
         for tl, pair in zip(net.layers, drawn):
             if pair is not None:
@@ -565,24 +561,20 @@ class TestSeededQ:
 
     @pytest.mark.parametrize("case", SEEDED_CASES)
     def test_checkpoint_same_whether_q_read_or_not(self, tmp_path, case):
-        specs, task, fit = _redraw_case(case)
-        read = fit(None)
+        _, _, fit = _redraw_case(case)
+        read = fit()
         for tl in read.layers:
             tl.q
-        nets = {"unread": fit(None), "read": read,
-                "shared": fit(layers_mod.draw_projections(
-                    specs, task.x.shape[1:], task.y.shape[1]))}
-        for name, net in nets.items():
-            save_network(net, tmp_path / name)
+        save_network(fit(), tmp_path / "unread")
+        save_network(read, tmp_path / "read")
         assert ((tmp_path / "unread").read_bytes()
-                == (tmp_path / "read").read_bytes()
-                == (tmp_path / "shared").read_bytes())
+                == (tmp_path / "read").read_bytes())
 
     @pytest.mark.parametrize("case", ["dense", "conv"])
     def test_explain_maps_match_reloaded_net(self, tmp_path, case):
         _, task, fit = _redraw_case(case)
-        fresh = fit(None)
-        save_network(fit(None), tmp_path / "model.fpk")
+        fresh = fit()
+        save_network(fit(), tmp_path / "model.fpk")
         loaded = load_network(tmp_path / "model.fpk")
         x = task.x[:5]
         for k, tl in enumerate(fresh.layers):
@@ -597,9 +589,8 @@ class TestSeededQ:
 
     def test_replace_carries_the_seeded_q(self, draws):
         specs, task, fit = _redraw_case("dense")
-        layer = fit(None).layers[1]
-        q = layers_mod.draw_projections(specs, task.x.shape[1:],
-                                        task.y.shape[1])[1][0]
+        layer = fit().layers[1]
+        q = seeded_projections(specs, task.x.shape[1:], task.y.shape[1])[1][0]
         draws.clear()
         # w of other rows, so a copy drawing its own q would draw another
         copy = dataclasses.replace(layer, w=layer.w[:1])
@@ -642,8 +633,7 @@ class TestQDrawnWhereRead:
         specs, task, _ = _redraw_case(case)
         net = fit_baseline_network(BaselineKind(name), specs, task)
         assert draws == []
-        drawn = layers_mod.draw_projections(specs, task.x.shape[1:],
-                                            task.y.shape[1])
+        drawn = seeded_projections(specs, task.x.shape[1:], task.y.shape[1])
         draws.clear()
         for tl, pair in zip(net.layers, drawn):
             if pair is not None:
@@ -660,8 +650,7 @@ class TestQDrawnWhereRead:
         net = fit_baseline_network(BaselineKind("random_features"), specs,
                                    task)
         assert draws == seeds
-        drawn = layers_mod.draw_projections(specs, task.x.shape[1:],
-                                            task.y.shape[1])
+        drawn = seeded_projections(specs, task.x.shape[1:], task.y.shape[1])
         for tl, pair in zip(net.layers, drawn):
             if pair is not None:
                 assert vars(tl)["q"] is tl.w
@@ -1696,8 +1685,7 @@ class TestEachProjectionDrawnOnItsOwn:
     def _fit(self, **given):
         task = synthetic_gaussian_task(60, 12, 3, 3.0, SeededRng(21))
         spec = _dense_spec(8, activation="relu", g="sign", q_seed=5, u_seed=6)
-        (q, u), _ = layers_mod.draw_projections([spec, LayerSpec("output")],
-                                                (12,), 3)
+        (q, u), _ = seeded_projections([spec, LayerSpec("output")], (12,), 3)
         return fit_layer(spec, [(task.x, task.y)], **given), q, u
 
     def test_given_q_kept_and_u_drawn(self):
@@ -1716,8 +1704,7 @@ class TestEachProjectionDrawnOnItsOwn:
     @pytest.mark.parametrize("case", ["dense", "conv"])
     def test_drawn_q_let_go(self, case):
         specs, task, _ = _redraw_case(case)
-        drawn = layers_mod.draw_projections(specs, task.x.shape[1:],
-                                            task.y.shape[1])
+        drawn = seeded_projections(specs, task.x.shape[1:], task.y.shape[1])
         layer = fit_layer(specs[0], [(task.x, task.y)])
         assert "q" not in vars(layer)
         assert np.array_equal(layer.q, drawn[0][0])
